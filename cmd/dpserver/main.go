@@ -9,7 +9,6 @@
 //	dpserver -preload sales=/data/bmspos.dat -preload-synthetic demo=kosarak:100
 //	dpserver -state-dir /var/lib/dpserver          # durable budgets & datasets
 //	dpserver -state-dir /var/lib/dpserver -fsync always
-//	dpserver -state-dir /var/lib/dpserver -mmap-datasets  # mmap dataset arenas on restart
 //	dpserver -access-log -slow-ms 250 -debug       # JSON access logs + pprof
 //
 // Endpoints (one per mechanism registered in the engine, plus operations):
@@ -100,7 +99,6 @@ func parseConfig(args []string) (options, error) {
 		maxBody    = fs.Int64("max-body", 0, "maximum request body bytes (0 = default)")
 		maxTenants = fs.Int("max-tenants", 0, "maximum auto-provisioned tenants (0 = default)")
 		stateDir   = fs.String("state-dir", "", "directory for durable state (WAL + snapshots); empty = in-memory only, a restart refunds all spent budget")
-		mmapData   = fs.Bool("mmap-datasets", false, "persist each dataset's columnar arena into the state dir and mmap it back on restart, skipping the item-count rescan (needs -state-dir)")
 		noSkip     = fs.Bool("no-query-skipping", false, "disable zone-sketch data skipping: composite filter queries scan every record block (results are identical either way)")
 		scanWork   = fs.Int("scan-workers", 0, "max goroutines per filter-query scan (0 = GOMAXPROCS, 1 = serial; results are identical either way)")
 		fsyncMode  = fs.String("fsync", "batch", "WAL durability: batch (group fsync off the hot path), always (fsync per charge), off")
@@ -143,7 +141,6 @@ func parseConfig(args []string) (options, error) {
 		MaxTenants:           *maxTenants,
 		Preload:              preloads,
 		Debug:                *debug,
-		MmapDatasets:         *mmapData,
 		DisableQuerySkipping: *noSkip,
 		ScanWorkers:          *scanWork,
 	}

@@ -235,6 +235,11 @@ func TestParseDurabilityFlags(t *testing.T) {
 	if _, err := parseConfig([]string{"-fsync", "sometimes"}); err == nil {
 		t.Error("bad fsync mode accepted")
 	}
+	// The memory-mapped arena restart path is gone; an old command line
+	// naming its flag must fail loudly rather than be silently ignored.
+	if _, err := parseConfig([]string{"-state-dir", "/var/lib/dpserver", "-mmap-datasets"}); err == nil {
+		t.Error("removed -mmap-datasets flag accepted")
+	}
 }
 
 // TestRunPersistsAcrossRestarts boots the real binary entry point twice on

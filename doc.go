@@ -129,7 +129,7 @@
 // materialized count vector without touching the transactions. Cache misses
 // evaluate vectorized passes in greedy cheapest-first order; filter scans
 // skip record blocks via the zone sketches (per-block length range + item
-// Bloom filter) built at registration and persisted in the arena. Appending
+// Bloom filter) built at registration and kept in the arena. Appending
 // ?explain=1 to a mechanism endpoint returns the compiled plan, uncharged.
 // Specs in the monotone fragment (all_items, item_count, filter, union,
 // intersect) keep the halved noise scale; threshold, minus and join are
@@ -207,13 +207,10 @@
 //
 // The memory path is flattened the same way the lock path was split. Each
 // catalogued dataset's derived state — item counts, presence bitset, and
-// min/max/nonzero sketches — lives in one flat cache-line-aligned columnar
-// arena, materialised exactly once at registration and delta-extended (never
-// rebuilt) when records are appended; with
-// ServerConfig.MmapDatasets (cmd/dpserver -mmap-datasets) the arena is
-// persisted beside the WAL and memory-mapped back on restart, so recovery
-// skips the transaction rescan, and a corrupt file fails closed into a
-// clean rescan. Request decode and response encode run through hand-rolled
+// min/max/nonzero sketches — lives in one flat columnar arena on the heap,
+// materialised exactly once at registration (or by the one recount a
+// restart replays) and delta-extended (never rebuilt) when records are
+// appended. Request decode and response encode run through hand-rolled
 // streaming codecs over pooled buffers whose output is byte-identical to
 // encoding/json (golden tests pin every shape, including error envelopes
 // and ?trace=1 splices; unrepresentable shapes fall back to the stdlib).
@@ -237,10 +234,7 @@
 // each dataset name hashes into one of 32 ordering domains owning
 // journal → apply → deliver, and the derived-state generation is built
 // before the domain lock is taken, so appends to different datasets
-// proceed fully in parallel (see Streaming). When an append supersedes a
-// memory-mapped arena generation, the server parks the old mapping and
-// unmaps it once in-flight requests drain (freegap_retired_arenas counts
-// the parked mappings).
+// proceed fully in parallel (see Streaming).
 //
 // The invariants the lock-splitting must preserve — Σ admitted charges ==
 // spent, spent never above budget + tolerance, a journal history that

@@ -399,32 +399,20 @@ func (c *evalCtx) filterScan(e *store.Entry, n *node) []float64 {
 	e.NoteCountScan()
 
 	// Consult the sketches first: the surviving block list is what both the
-	// serial and the parallel path scan. A sketch-less arena (a legacy image)
-	// synthesizes default-sized blocks so it can still shard.
+	// serial and the parallel path scan. Registration and every append build
+	// sketches covering all records, so the blocks tile the dataset.
 	zones := v.Arena().Zones()
 	var ranges []blockRange
 	surviving, skipped := 0, 0
-	if zones.NumBlocks() == 0 {
-		total := db.NumRecords()
-		for lo := 0; lo < total; lo += store.DefaultZoneBlock {
-			hi := lo + store.DefaultZoneBlock
-			if hi > total {
-				hi = total
-			}
-			ranges = append(ranges, blockRange{lo, hi})
+	for b := 0; b < zones.NumBlocks(); b++ {
+		lo, hi := zones.BlockRange(b)
+		if !c.opts.NoSkip && zones.SkipBlock(b, n.contains, n.minLen, n.maxLen) {
+			c.stats.BlocksSkipped++
+			skipped += hi - lo
+			continue
 		}
-		surviving = total
-	} else {
-		for b := 0; b < zones.NumBlocks(); b++ {
-			lo, hi := zones.BlockRange(b)
-			if !c.opts.NoSkip && zones.SkipBlock(b, n.contains, n.minLen, n.maxLen) {
-				c.stats.BlocksSkipped++
-				skipped += hi - lo
-				continue
-			}
-			ranges = append(ranges, blockRange{lo, hi})
-			surviving += hi - lo
-		}
+		ranges = append(ranges, blockRange{lo, hi})
+		surviving += hi - lo
 	}
 	c.stats.RecordsSkipped += skipped
 	e.NoteRecordsSkipped(uint64(skipped))

@@ -30,8 +30,14 @@ func splitmix64(state *uint64) uint64 {
 // period of 2^256−1, which is more than sufficient for the Monte-Carlo
 // experiment sizes used by the harness. The zero value is not a valid
 // generator; use NewXoshiro or Split.
+//
+// The 32-byte state is padded to a full 64-byte cache line. Generators are
+// heap-allocated from the 64-byte size class, so each one owns its line and
+// per-worker sources split from one master never false-share: two workers
+// drawing noise at once would otherwise bounce a shared line between cores.
 type Xoshiro struct {
 	s [4]uint64
+	_ [32]byte
 }
 
 // NewXoshiro returns a generator seeded from the given seed via SplitMix64,

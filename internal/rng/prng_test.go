@@ -4,7 +4,50 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestXoshiroFixedSeedOutput pins the generator's output for a fixed seed,
+// before and after a Split, so layout changes cannot alter seeded noise.
+func TestXoshiroFixedSeedOutput(t *testing.T) {
+	x := NewXoshiro(42)
+	for i, want := range []uint64{0x15780b2e0c2ec716, 0x6104d9866d113a7e, 0xae17533239e499a1} {
+		if got := x.Uint64(); got != want {
+			t.Errorf("draw %d = %#x, want %#x", i, got, want)
+		}
+	}
+	c := x.Split()
+	for i, want := range []uint64{0x16511c96fcb60869, 0xaa6e41b02f590413} {
+		if got := c.Uint64(); got != want {
+			t.Errorf("split draw %d = %#x, want %#x", i, got, want)
+		}
+	}
+}
+
+// TestSplitSourcesOwnCacheLines: per-worker sources split from one master
+// must each sit alone on a 64-byte cache line, or concurrent workers
+// false-share their generator state.
+func TestSplitSourcesOwnCacheLines(t *testing.T) {
+	const line = 64
+	if size := unsafe.Sizeof(Xoshiro{}); size != line {
+		t.Fatalf("sizeof(Xoshiro) = %d, want %d", size, line)
+	}
+	master := NewXoshiro(1)
+	// srcs keeps every source live, so no address is freed and reused.
+	srcs := make([]*Xoshiro, 64)
+	lines := make(map[uintptr]int, len(srcs))
+	for i := range srcs {
+		srcs[i] = master.Split()
+		addr := uintptr(unsafe.Pointer(srcs[i]))
+		if addr%line != 0 {
+			t.Fatalf("source %d at %#x is not 64-byte aligned", i, addr)
+		}
+		if j, taken := lines[addr/line]; taken {
+			t.Fatalf("sources %d and %d share cache line %#x", j, i, addr/line*line)
+		}
+		lines[addr/line] = i
+	}
+}
 
 func TestNewXoshiroDeterministic(t *testing.T) {
 	a := NewXoshiro(42)

@@ -236,17 +236,10 @@ func (s *Server) registerDataset(name, source string, db *dataset.Transactions, 
 	}
 	if err := s.journalDataset(e, syn); err != nil {
 		s.datasets.Remove(name)
-		// Remove unlinks the arena file the entry knows about; a stale image
-		// under the rolled-back name from an earlier incarnation goes too, so
-		// a later re-registration starts from a clean slate.
-		s.removeArenaFile(name)
 		s.datasetHot.Delete(name)
 		s.telemetry.Gauge("freegap_datasets").Set(int64(s.datasets.Len()))
 		return nil, fmt.Errorf("%w: %v", errDatasetPersist, err)
 	}
-	// Best-effort: persist the registration-time arena so the next restart
-	// memory-maps the counts instead of rescanning the transactions.
-	s.saveArena(name)
 	s.registerDatasetTelemetry(name)
 	return e, nil
 }

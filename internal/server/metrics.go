@@ -43,7 +43,6 @@ func (s *Server) sampleScrapeGauges() {
 	s.scrapeMu.Lock()
 	defer s.scrapeMu.Unlock()
 	s.telemetry.FloatGauge("freegap_uptime_seconds").Set(time.Since(s.started).Seconds())
-	s.telemetry.Gauge("freegap_retired_arenas").Set(int64(s.datasets.RetiredArenas()))
 	if s.persist != nil {
 		var failed int64
 		if s.persist.Err() != nil {

@@ -146,7 +146,7 @@ func TestParallelStressAcrossDatasetsWithCrashRecovery(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				body := TopKRequest{Common: Common{Tenant: "query", Epsilon: 0.01, Monotonic: true,
 					Dataset: names[(q+i)%numDatasets],
-					Queries: &QuerySpec{Kind: "filter", Where: &engine.RecordPredicate{MinLen: 1}}}, K: 3}
+					Queries: &QuerySpec{Kind: "filter", Where: &engine.RecordPredicate{MinLen: 1}}}, K: 1}
 				resp, data := postJSON(t, ts.URL+"/v1/topk", body)
 				if resp.StatusCode != http.StatusOK {
 					t.Errorf("query: %d %s", resp.StatusCode, data)

@@ -9,36 +9,19 @@ package server
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"github.com/freegap/freegap/internal/dataset"
 	"github.com/freegap/freegap/internal/persist"
 	"github.com/freegap/freegap/internal/store"
 )
 
-// arenaDirName is the state-directory subdirectory holding the persisted
-// columnar arenas (one .arena file per dataset, see store.WriteArena).
-const arenaDirName = "arenas"
-
-// arenaPath resolves a dataset's persisted-arena file, or "" when arena
-// persistence is off (no MmapDatasets, or no durable state directory).
-func (s *Server) arenaPath(name string) string {
-	if !s.cfg.MmapDatasets || s.persist == nil {
-		return ""
-	}
-	return filepath.Join(s.persist.Dir(), arenaDirName, name+".arena")
-}
-
 // restoreDataset rebuilds one journalled dataset and registers it into the
-// catalog. With MmapDatasets, the dataset's persisted arena is memory-mapped
-// back — fingerprinted against the rebuilt transactions, checksummed, and
-// discarded for a clean rescan on any mismatch — so a restored dataset skips
-// the item-count recount entirely; otherwise the counts are recomputed
-// exactly once (the registration precompute). Either way restored datasets
-// keep the zero-per-request-rescan property, and restored registrations are
-// not re-journalled. A name the caller already catalogued directly in
-// Config.Datasets wins over the journalled copy — mirroring the Preload skip
-// — so a pre-populated store never makes a restart unstartable.
+// catalog. The counts are recomputed exactly once (the registration
+// precompute), so restored datasets keep the zero-per-request-rescan
+// property; restored registrations are not re-journalled. A name the caller
+// already catalogued directly in Config.Datasets wins over the journalled
+// copy — mirroring the Preload skip — so a pre-populated store never makes a
+// restart unstartable.
 func (s *Server) restoreDataset(rec persist.DatasetRecord) error {
 	if _, err := s.datasets.Get(rec.Name); err == nil {
 		return nil
@@ -47,50 +30,11 @@ func (s *Server) restoreDataset(rec persist.DatasetRecord) error {
 	if err != nil {
 		return err
 	}
-	if path := s.arenaPath(rec.Name); path != "" {
-		if a, err := store.LoadArena(path, db.NumRecords(), db.NumItems(), true); err == nil {
-			if _, err := s.datasets.RegisterArena(rec.Name, rec.Source, db, a); err != nil {
-				a.Close()
-				return fmt.Errorf("server: restoring dataset %q: %w", rec.Name, err)
-			}
-			s.registerDatasetTelemetry(rec.Name)
-			return nil
-		}
-		// Invalid or missing arena: fall through to a clean rescan, and
-		// refresh the file from the recount for the next restart.
-		defer s.saveArena(rec.Name)
-	}
 	if _, err := s.datasets.Register(rec.Name, rec.Source, db); err != nil {
 		return fmt.Errorf("server: restoring dataset %q: %w", rec.Name, err)
 	}
 	s.registerDatasetTelemetry(rec.Name)
 	return nil
-}
-
-// saveArena persists a catalogued dataset's arena for the next restart's
-// mmap load. Best-effort: the arena is a restart-time optimisation derived
-// entirely from the journalled dataset, so a write failure degrades to a
-// rescan on the next start rather than failing the registration.
-func (s *Server) saveArena(name string) {
-	path := s.arenaPath(name)
-	if path == "" {
-		return
-	}
-	e, err := s.datasets.Get(name)
-	if err != nil {
-		return
-	}
-	v := e.View() // one generation: the written record count must match the arena
-	_ = store.WriteArena(path, v.Dataset().NumRecords(), v.Arena())
-}
-
-// removeArenaFile best-effort unlinks a dataset's persisted arena image, for
-// rollback paths where the catalog entry (and its path-tracking arena) may
-// already be gone.
-func (s *Server) removeArenaFile(name string) {
-	if path := s.arenaPath(name); path != "" {
-		_ = os.Remove(path)
-	}
 }
 
 // materializeDataset turns a journalled record back into transactions:

@@ -58,7 +58,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -151,14 +150,6 @@ type Config struct {
 	// otherwise). Zero applies DefaultSlowRequestThreshold; negative
 	// disables slow-request logging.
 	SlowRequestThreshold time.Duration
-	// MmapDatasets persists each registered dataset's columnar arena (item
-	// counts, presence bitset and min/max sketches) into the Persist state
-	// directory and memory-maps it back on restart, so a restarted server
-	// skips the item-count rescan entirely — the restored dataset's
-	// count_scans stays at the single registration-time materialisation.
-	// Requires Persist; ignored without it. A missing, truncated or
-	// corrupted arena file falls back to a clean rescan.
-	MmapDatasets bool
 	// DisableQuerySkipping turns off zone-sketch data skipping in composite
 	// filter queries: every filter scans every record. Results are
 	// byte-identical either way; the switch exists for benchmarking the
@@ -452,17 +443,10 @@ func New(cfg Config) (*Server, error) {
 		s.domains[i].watchers = make(map[string][]*monitor)
 		s.domains[i].seqs = make(map[string]uint64)
 	}
-	if cfg.MmapDatasets {
-		// Every HTTP request is bracketed by the root handler's
-		// ReaderEnter/ReaderExit, so superseded mmap generations can be
-		// unmapped as soon as in-flight readers drain instead of parking
-		// until Close.
-		s.datasets.EnableArenaReclaim()
-	}
 	// Built eagerly so Serve (serving goroutine) and Shutdown (signal
 	// goroutine) never race on the field.
 	s.httpSrv = &http.Server{
-		Handler:           s.rootHandler(),
+		Handler:           s.mux,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	s.telemetry.Help("freegap_requests_total", "DP query requests by mechanism and outcome code.")
@@ -475,7 +459,6 @@ func New(cfg Config) (*Server, error) {
 	s.telemetry.Help("freegap_plan_compile_seconds", "Query-plan normalize+canonicalize time per composite resolution.")
 	s.telemetry.Help("freegap_records_skipped_total", "Records proven unmatching by zone sketches and skipped by filter scans.")
 	s.telemetry.Help("freegap_scan_workers", "Widest block-parallel worker fan-out per filter-bearing query resolution (1 = serial).")
-	s.telemetry.Help("freegap_retired_arenas", "Superseded mmap arena generations parked awaiting reader drain.")
 	s.telemetry.Help("freegap_request_seconds", "Request latency by endpoint, full pipeline wall time.")
 	s.telemetry.Help("freegap_stage_seconds", "Pipeline stage latency across all endpoints.")
 	s.telemetry.Help("freegap_uptime_seconds", "Seconds since the server was constructed.")
@@ -562,7 +545,6 @@ func New(cfg Config) (*Server, error) {
 			s.pool.close()
 			return fail(err)
 		}
-		s.saveArena(p.Name)
 	}
 	s.routes()
 	return s, nil
@@ -602,27 +584,7 @@ func (s *Server) routes() {
 
 // Handler returns the server's HTTP handler, for mounting under httptest or a
 // caller-owned http.Server.
-func (s *Server) Handler() http.Handler { return s.rootHandler() }
-
-// rootHandler wraps the mux so every request is bracketed as one catalog
-// reader: a handler may hold slices into a dataset's current mmap arena for
-// its whole lifetime (resolution output, response encoding), so the bracket
-// is what lets superseded arena generations be reclaimed the moment
-// in-flight requests drain (see store.EnableArenaReclaim). Long-lived SSE
-// streams are exempt — they only read per-monitor state, never arena data,
-// and holding the reader count up for the life of a stream would park
-// retired arenas forever.
-func (s *Server) rootHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/stream") {
-			s.mux.ServeHTTP(w, r)
-			return
-		}
-		s.datasets.ReaderEnter()
-		defer s.datasets.ReaderExit()
-		s.mux.ServeHTTP(w, r)
-	})
-}
+func (s *Server) Handler() http.Handler { return s.mux }
 
 // Registry exposes the tenant registry (used by the CLI for startup logging
 // and by tests).
@@ -682,7 +644,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			err = perr
 		}
 	}
-	s.closeArenas()
 	return err
 }
 
@@ -694,15 +655,5 @@ func (s *Server) Close() {
 	s.pool.close()
 	if s.persist != nil {
 		_ = s.persist.Close()
-	}
-	s.closeArenas()
-}
-
-// closeArenas releases the dataset catalog's memory-mapped arenas. Only a
-// server that opted into MmapDatasets tears the catalog down — without the
-// flag the catalog may be caller-supplied and must survive the server.
-func (s *Server) closeArenas() {
-	if s.cfg.MmapDatasets {
-		_ = s.datasets.Close()
 	}
 }

@@ -394,9 +394,10 @@ func (s *Server) serveDatasetAppend(w *traceWriter, r *http.Request) string {
 	d := s.domain(name)
 	d.mu.Lock()
 	if p.Stale() {
-		// Lost a prepare race. Appends to this dataset serialize on d.mu, so
-		// the racer was a direct library append; rebuild against its
-		// generation (re-validating the limits) before journalling.
+		// Lost a prepare race. PrepareAppend ran before d.mu was taken, so
+		// another append to this dataset — usually a concurrent request
+		// through this handler — installed a newer generation in between;
+		// rebuild against it (re-validating the limits) before journalling.
 		if p, err = s.datasets.PrepareAppend(name, delta); err != nil {
 			d.mu.Unlock()
 			if errors.Is(err, store.ErrUnknownDataset) {

@@ -4,9 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -285,62 +282,6 @@ func TestStreamingCrashRecovery(t *testing.T) {
 	}
 	if newID := decodeInto[MonitorCreateResponse](t, data).ID; newID == id {
 		t.Errorf("restored and new monitor share id %q", newID)
-	}
-}
-
-// TestArenaRollbackUnlinksStaleFile: a rolled-back registration must not
-// leave an arena image behind — a stale file under a name that was never
-// durably registered would linger forever (and shadow a later registration's
-// restart path until its checksum mismatch forced a rescan).
-func TestArenaRollbackUnlinksStaleFile(t *testing.T) {
-	dir := t.TempDir()
-	s, err := New(Config{TenantBudget: 10, Seed: 42, Workers: 1,
-		Persist: openLog(t, dir), MmapDatasets: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	t.Cleanup(s.Close)
-
-	// Plant a stale arena image under the doomed name (e.g. from an earlier
-	// incarnation whose WAL record never became durable), then kill the
-	// journal so the upload rolls back.
-	arenaFile := filepath.Join(dir, "arenas", "doomed.arena")
-	if err := os.MkdirAll(filepath.Dir(arenaFile), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(arenaFile, []byte("stale"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Config().Persist.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	resp, _ := postJSON(t, ts.URL+"/v1/datasets", DatasetUploadRequest{Name: "doomed", FIMI: "0 1\n1\n"})
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("upload on dead journal: status %d, want 500", resp.StatusCode)
-	}
-	if _, err := os.Stat(arenaFile); !os.IsNotExist(err) {
-		t.Fatalf("rollback left the arena file behind (stat err %v)", err)
-	}
-
-	// Re-register under a healthy journal: the name is clean and the arena
-	// image belongs to the new registration, not the stale incarnation.
-	ts.Close()
-	s.Close()
-	s2, err := New(Config{TenantBudget: 10, Seed: 42, Workers: 1,
-		Persist: openLog(t, dir), MmapDatasets: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(s2.Handler())
-	t.Cleanup(ts2.Close)
-	t.Cleanup(s2.Close)
-	if resp, data := postJSON(t, ts2.URL+"/v1/datasets", DatasetUploadRequest{Name: "doomed", FIMI: "0 1\n1\n"}); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("re-register after rollback: %d %s", resp.StatusCode, data)
-	}
-	if _, err := os.Stat(arenaFile); err != nil {
-		t.Fatalf("arena not persisted for the re-registered dataset: %v", err)
 	}
 }
 

@@ -3,8 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -76,18 +74,18 @@ func TestAppendValidation(t *testing.T) {
 	if _, err := s.Append("nope", [][]int32{{0}}); !errors.Is(err, ErrUnknownDataset) {
 		t.Errorf("append to unknown dataset: err = %v, want ErrUnknownDataset", err)
 	}
-	if err := s.CheckAppend("sales", [][]int32{{-1}}); err == nil {
+	if _, err := s.PrepareAppend("sales", [][]int32{{-1}}); err == nil {
 		t.Error("negative item id admitted")
 	}
-	if err := s.CheckAppend("sales", [][]int32{{0}, {1}, {2}}); err == nil {
+	if _, err := s.PrepareAppend("sales", [][]int32{{0}, {1}, {2}}); err == nil {
 		t.Error("append past MaxRecords admitted")
 	}
-	if err := s.CheckAppend("sales", [][]int32{{8}}); err == nil {
+	if _, err := s.PrepareAppend("sales", [][]int32{{8}}); err == nil {
 		t.Error("append past MaxItems admitted")
 	}
 	ok := [][]int32{{7}, {0, 1}}
-	if err := s.CheckAppend("sales", ok); err != nil {
-		t.Errorf("CheckAppend(valid delta): %v", err)
+	if _, err := s.PrepareAppend("sales", ok); err != nil {
+		t.Errorf("PrepareAppend(valid delta): %v", err)
 	}
 	if _, err := s.Append("sales", ok); err != nil {
 		t.Errorf("Append(valid delta): %v", err)
@@ -117,36 +115,6 @@ func TestAppendFlushesPlanCache(t *testing.T) {
 	}
 	if _, ok := e.Plans().Get("q"); ok {
 		t.Error("append served a stale compiled plan: the cache must be flushed")
-	}
-}
-
-func TestRemoveUnlinksArenaFile(t *testing.T) {
-	dir := t.TempDir()
-	s := New()
-	e, err := s.Register("sales", "test", testDB(t))
-	if err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	path := filepath.Join(dir, "sales.arena")
-	if err := WriteArena(path, e.Dataset().NumRecords(), e.Arena()); err != nil {
-		t.Fatalf("WriteArena: %v", err)
-	}
-	if p := e.Arena().Path(); p != path {
-		t.Fatalf("arena path = %q, want %q", p, path)
-	}
-	// The path must survive append generations, or Remove after an append
-	// would leak the file.
-	if _, err := s.Append("sales", [][]int32{{0, 1}}); err != nil {
-		t.Fatalf("Append: %v", err)
-	}
-	if p := e.Arena().Path(); p != path {
-		t.Fatalf("arena path after append = %q, want %q", p, path)
-	}
-	if !s.Remove("sales") {
-		t.Fatal("Remove reported no dataset")
-	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("arena file still on disk after Remove: stat err = %v", err)
 	}
 }
 

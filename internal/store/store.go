@@ -17,7 +17,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -98,23 +97,6 @@ type Store struct {
 	// byName points at the current immutable catalog generation. Never
 	// mutated in place; always replaced wholesale under writeMu.
 	byName atomic.Pointer[catalog]
-	// retired holds superseded mmap-backed arenas. An append replaces an
-	// entry's arena generation while lock-free readers may still hold slices
-	// into the old mapping, so the mapping cannot be unmapped then; it is
-	// parked here (under writeMu) and released in Close — or earlier, once
-	// the reader count drains, when reclamation is enabled (see
-	// EnableArenaReclaim).
-	retired []*Arena
-	// retiredN mirrors len(retired) so ReaderExit can skip the write lock
-	// when there is nothing to reclaim.
-	retiredN atomic.Int32
-	// reclaim enables draining-reader reclamation of retired arenas. Opt-in:
-	// it is only sound when every reader of mapped arena data brackets its
-	// access with ReaderEnter/ReaderExit, which the serving layer does for
-	// each request; bare library users keep the park-until-Close behavior.
-	reclaim atomic.Bool
-	// readers counts the in-flight bracketed readers (see ReaderEnter).
-	readers atomic.Int64
 }
 
 // New returns an empty catalog with the default limits.
@@ -154,7 +136,7 @@ type Entry struct {
 	gen atomic.Pointer[entryGen]
 
 	resolutions atomic.Uint64 // query resolutions served from the cache
-	scans       atomic.Uint64 // count materialisations (scan or arena load); cached resolutions and appends never add
+	scans       atomic.Uint64 // count materialisations; cached resolutions and appends never add
 	skipped     atomic.Uint64 // records proven unmatching by zone sketches and never scanned
 
 	// plans caches compiled composite-query plans and their materialized
@@ -174,9 +156,9 @@ type entryGen struct {
 }
 
 // View is one consistent snapshot of an entry's data generation. Code that
-// touches both the transactions and the arena (filter scans, explain, arena
-// persistence) must read them through a single View — two separate loads
-// could straddle an append and pair a new dataset with an old arena.
+// touches both the transactions and the arena (filter scans, explain) must
+// read them through a single View — two separate loads could straddle an
+// append and pair a new dataset with an old arena.
 type View struct {
 	db    *dataset.Transactions
 	arena *Arena
@@ -207,11 +189,8 @@ type Info struct {
 	MaxCount float64 `json:"max_count"`
 	// NonzeroItems is how many items occur in at least one transaction.
 	NonzeroItems int `json:"nonzero_items"`
-	// ArenaMapped reports whether the count arena is served from a file
-	// mapping (the restart fast path) rather than an in-memory scan.
-	ArenaMapped bool `json:"arena_mapped"`
 	// SketchBlocks is the number of zone-sketch blocks built for data
-	// skipping (0 when the arena carries no sketches).
+	// skipping (0 for a dataset with no records).
 	SketchBlocks int `json:"sketch_blocks"`
 	// PlanCacheEntries is the number of cached compiled query plans.
 	PlanCacheEntries int `json:"plan_cache_entries"`
@@ -221,9 +200,9 @@ type Info struct {
 	// Resolutions counts query resolutions served from the cached counts.
 	Resolutions uint64 `json:"resolutions"`
 	// CountScans counts count-vector materialisations: the registration scan
-	// (or validated arena load) plus one per composite filter query that had
-	// to scan records on a plan-cache miss. It stays at 1 however many
-	// requests resolve from the cached counts or the plan cache.
+	// plus one per composite filter query that had to scan records on a
+	// plan-cache miss. It stays at 1 however many requests resolve from the
+	// cached counts or the plan cache.
 	CountScans uint64 `json:"count_scans"`
 	// CreatedAt is the registration time.
 	CreatedAt time.Time `json:"created_at"`
@@ -254,25 +233,6 @@ func ValidName(name string) error {
 // database must not be mutated by the caller afterwards. source is a short
 // free-form provenance label carried into Info.
 func (s *Store) Register(name, source string, db *dataset.Transactions) (*Entry, error) {
-	return s.register(name, source, db, nil)
-}
-
-// RegisterArena is Register with a pre-built count arena (typically loaded
-// from an arena file on restart), skipping the transaction scan. The arena
-// must have been validated against db — len(a.Counts()) must equal
-// db.NumItems(). CountScans still reads 1: the arena load is the entry's one
-// count materialisation.
-func (s *Store) RegisterArena(name, source string, db *dataset.Transactions, a *Arena) (*Entry, error) {
-	if a == nil {
-		return nil, errors.New("store: nil arena")
-	}
-	if db != nil && len(a.Counts()) != db.NumItems() {
-		return nil, fmt.Errorf("store: arena holds %d items, dataset %q has %d", len(a.Counts()), name, db.NumItems())
-	}
-	return s.register(name, source, db, a)
-}
-
-func (s *Store) register(name, source string, db *dataset.Transactions, arena *Arena) (*Entry, error) {
 	if err := ValidName(name); err != nil {
 		return nil, err
 	}
@@ -298,12 +258,10 @@ func (s *Store) register(name, source string, db *dataset.Transactions, arena *A
 
 	e := &Entry{name: name, source: source, created: time.Now()}
 	e.scans.Add(1) // the one registration count materialisation for this entry
-	if arena == nil {
-		arena = newArena(db.ItemCounts()) // the registration transaction scan
-		// Zone sketches ride the same registration pass budget: one extra
-		// O(records) walk; appends extend them incrementally later.
-		arena.zones = BuildZones(db, DefaultZoneBlock)
-	}
+	// The registration transaction scan. Zone sketches ride the same pass
+	// budget: one extra O(records) walk; appends extend them incrementally.
+	arena := newArena(db.ItemCounts())
+	arena.zones = BuildZones(db, DefaultZoneBlock)
 	e.gen.Store(&entryGen{
 		db: db, arena: arena, counts: arena.Counts(),
 		stats: db.Stats(), lenSum: db.TotalLength(),
@@ -331,16 +289,12 @@ func (s *Store) register(name, source string, db *dataset.Transactions, arena *A
 // existed. Catalogued datasets stay registered for their lifetime — Remove
 // exists solely so the serving layer can roll back a registration whose
 // durable journalling failed, keeping "registered" equivalent to "survives a
-// restart" on persistent servers. When the entry's arena knows its on-disk
-// image, the file is unlinked too: a rolled-back registration must not leak
-// a stale arena that a later re-registration under the same name would have
-// to detect and discard.
+// restart" on persistent servers.
 func (s *Store) Remove(name string) bool {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	cur := s.snapshot()
-	e, ok := cur[name]
-	if !ok {
+	if _, ok := cur[name]; !ok {
 		return false
 	}
 	next := make(catalog, len(cur)-1)
@@ -350,32 +304,7 @@ func (s *Store) Remove(name string) bool {
 		}
 	}
 	s.byName.Store(&next)
-	// The removed arena may still be referenced by in-flight readers; park a
-	// mapped one for Close like a superseded append generation, but drop the
-	// file image now — the registration it belonged to no longer exists.
-	a := e.gen.Load().arena
-	if a.Mapped() {
-		s.retired = append(s.retired, a)
-		s.retiredN.Store(int32(len(s.retired)))
-	}
-	if p := a.Path(); p != "" {
-		_ = os.Remove(p)
-	}
 	return true
-}
-
-// CheckAppend validates that appending delta to the dataset catalogued under
-// name would stay within the catalog limits, without applying anything. The
-// same checks re-run inside Append; callers that must journal an append
-// before applying it use CheckAppend to ensure the journalled record cannot
-// be refused afterwards.
-func (s *Store) CheckAppend(name string, delta [][]int32) error {
-	e, err := s.Get(name)
-	if err != nil {
-		return err
-	}
-	_, err = s.validateAppend(e.gen.Load(), name, delta)
-	return err
 }
 
 // validateAppend checks delta against the limits relative to generation g,
@@ -472,15 +401,8 @@ func (s *Store) InstallAppend(p *PendingAppend) (*Entry, error) {
 	if e.gen.Load() != p.base {
 		return nil, fmt.Errorf("%w: %q", ErrStaleAppend, e.name)
 	}
-	if p.base.arena.Mapped() {
-		// In-flight readers may hold slices into the old mapping; park it
-		// until the reader count drains (or the store closes).
-		s.retired = append(s.retired, p.base.arena)
-		s.retiredN.Store(int32(len(s.retired)))
-	}
 	e.gen.Store(p.next)
 	e.plans.Reset()
-	s.sweepRetiredLocked()
 	return e, nil
 }
 
@@ -508,52 +430,6 @@ func (s *Store) Append(name string, delta [][]int32) (*Entry, error) {
 		}
 		return e, err
 	}
-}
-
-// EnableArenaReclaim turns on draining-reader reclamation: a retired mmap
-// arena generation is unmapped as soon as the bracketed reader count is
-// observed at zero after its retirement, instead of being parked until
-// Close. Callers must bracket every access to arena-backed data (count
-// slices, zone sketches, record scans) between ReaderEnter and ReaderExit
-// once reclamation is on — the serving layer brackets each HTTP request.
-func (s *Store) EnableArenaReclaim() { s.reclaim.Store(true) }
-
-// ReaderEnter marks the start of one bracketed reader (see
-// EnableArenaReclaim).
-func (s *Store) ReaderEnter() { s.readers.Add(1) }
-
-// ReaderExit marks the end of one bracketed reader. The last reader out
-// sweeps the retired arenas: observing the count at zero proves every
-// reader that could hold a slice into a previously-retired mapping has
-// finished, and any reader entering afterwards loads the current generation,
-// which never points into a retired arena.
-func (s *Store) ReaderExit() {
-	if s.readers.Add(-1) == 0 && s.reclaim.Load() && s.retiredN.Load() > 0 {
-		s.writeMu.Lock()
-		s.sweepRetiredLocked()
-		s.writeMu.Unlock()
-	}
-}
-
-// RetiredArenas reports how many superseded mmap arena generations are
-// parked awaiting reclamation (or Close), for the freegap_retired_arenas
-// gauge.
-func (s *Store) RetiredArenas() int { return int(s.retiredN.Load()) }
-
-// sweepRetiredLocked unmaps every parked arena when reclamation is enabled
-// and no bracketed reader is in flight. Caller holds writeMu, so every
-// arena in the list was retired before the reader count was sampled; a
-// reader that increments the count after the sample reads the current
-// generation and cannot reach a parked mapping.
-func (s *Store) sweepRetiredLocked() {
-	if !s.reclaim.Load() || len(s.retired) == 0 || s.readers.Load() != 0 {
-		return
-	}
-	for _, a := range s.retired {
-		_ = a.Close()
-	}
-	s.retired = nil
-	s.retiredN.Store(0)
 }
 
 // Get returns the entry catalogued under name. It takes no lock: the lookup
@@ -596,29 +472,10 @@ func (s *Store) List() []Info {
 	return out
 }
 
-// Close releases every entry's arena file mapping, if any — including the
-// superseded generations parked by appends and removals. The store must not
-// serve requests afterwards.
-func (s *Store) Close() error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	var first error
-	for _, e := range s.snapshot() {
-		if err := e.gen.Load().arena.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, a := range s.retired {
-		if err := a.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	s.retired = nil
-	s.retiredN.Store(0)
-	empty := make(catalog)
-	s.byName.Store(&empty)
-	return first
-}
+// Close is a no-op that always returns nil: every arena lives on the heap,
+// so the store holds nothing that needs releasing. It exists so callers can
+// treat the store like their other closable resources.
+func (s *Store) Close() error { return nil }
 
 // Name returns the catalog key.
 func (e *Entry) Name() string { return e.name }
@@ -653,7 +510,6 @@ func (e *Entry) Info() Info {
 		MinCount:     g.arena.MinCount(),
 		MaxCount:     g.arena.MaxCount(),
 		NonzeroItems: g.arena.NonzeroItems(),
-		ArenaMapped:  g.arena.Mapped(),
 
 		SketchBlocks:     g.arena.Zones().NumBlocks(),
 		PlanCacheEntries: e.plans.Len(),
@@ -702,9 +558,9 @@ func (e *Entry) Resolutions() uint64 { return e.resolutions.Load() }
 func (e *Entry) NoteResolution() { e.resolutions.Add(1) }
 
 // CountScans returns how many times the entry materialised counts from its
-// records: the registration scan (or validated arena load) plus one per
-// plan-cache-missing composite filter query. Plan-cache hits never add, so
-// the counter pins the cache's effectiveness.
+// records: the registration scan plus one per plan-cache-missing composite
+// filter query. Plan-cache hits never add, so the counter pins the cache's
+// effectiveness.
 func (e *Entry) CountScans() uint64 { return e.scans.Load() }
 
 // NoteCountScan counts one record-scanning count materialisation (a

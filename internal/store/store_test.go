@@ -149,6 +149,20 @@ func TestGetAndListing(t *testing.T) {
 	if e.Name() != "alpha" || e.Dataset() != db {
 		t.Errorf("entry = %q / %p, want alpha / %p", e.Name(), e.Dataset(), db)
 	}
+
+	// Remove drops the entry once; the name is then unknown and free.
+	if !s.Remove("alpha") {
+		t.Fatal("Remove reported no dataset")
+	}
+	if s.Remove("alpha") {
+		t.Error("second Remove reported a dataset")
+	}
+	if _, err := s.Get("alpha"); !errors.Is(err, ErrUnknownDataset) {
+		t.Errorf("Get after Remove: err = %v, want ErrUnknownDataset", err)
+	}
+	if got, want := s.Names(), []string{"zeta"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Names after Remove = %v, want %v", got, want)
+	}
 }
 
 func TestGenerateSynthetic(t *testing.T) {

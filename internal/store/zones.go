@@ -8,10 +8,10 @@ package store
 // a length range outside [min,max], or a required item whose bloom probe
 // misses, proves the block holds no matching record and the whole block is
 // skipped. Sketches are built in the registration scan (the same O(records)
-// pass that fills the count column) and persisted in the arena image; an
-// append extends them with ExtendZones, which scans only the appended
-// records — block sketches are monotone under adding records, so the shared
-// prefix is copied, never rebuilt.
+// pass that fills the count column) and kept in the arena; an append extends
+// them with ExtendZones, which scans only the appended records — block
+// sketches are monotone under adding records, so the shared prefix is
+// copied, never rebuilt.
 //
 // The bloom geometry is fixed: 512 bits (8 words) per block, two probes per
 // item, both derived from one multiplicative hash. With the default 2048
@@ -27,13 +27,9 @@ const (
 	// zoneBloomWords is the bloom filter width per block, in 64-bit words.
 	zoneBloomWords = 8
 	zoneBloomBits  = zoneBloomWords * 64
-	// zoneStride is the on-disk size of one block's sketch: the bloom words
-	// plus the two length bounds.
-	zoneStride = zoneBloomWords*8 + 4 + 4
 )
 
-// Zones holds one dataset's per-block sketches. The slices may alias a
-// read-only arena mapping; they are read-only by contract.
+// Zones holds one dataset's per-block sketches, read-only by contract.
 type Zones struct {
 	block   int // records per block
 	records int // total records covered
