@@ -20,7 +20,6 @@ import (
 
 	"github.com/freegap/freegap/internal/dataset"
 	"github.com/freegap/freegap/internal/server"
-	"github.com/freegap/freegap/internal/store"
 )
 
 // planBenchConfig parameterizes one planbench run.
@@ -65,14 +64,14 @@ func runPlanBench(cfg planBenchConfig) error {
 	cfg = cfg.withDefaults()
 	const benchBudget = 1e18
 
-	clustered := make([][]int32, 0, cfg.Blocks*store.DefaultZoneBlock)
+	clustered := make([][]int32, 0, cfg.Blocks*dataset.BlockRecords)
 	for blk := 0; blk < cfg.Blocks; blk++ {
 		base := int32(blk * 8)
-		for i := 0; i < store.DefaultZoneBlock; i++ {
+		for i := 0; i < dataset.BlockRecords; i++ {
 			clustered = append(clustered, []int32{base, base + int32(i%8)})
 		}
 	}
-	uniform := make([][]int32, cfg.Blocks*store.DefaultZoneBlock)
+	uniform := make([][]int32, cfg.Blocks*dataset.BlockRecords)
 	for i := range uniform {
 		uniform[i] = []int32{0, int32(1 + i%200)}
 	}
@@ -159,7 +158,7 @@ func runPlanBench(cfg planBenchConfig) error {
 		return nil
 	}
 	fmt.Fprintf(os.Stdout, "planbench: filtered-query hot path (GOMAXPROCS=%d, %d zone blocks, %d records)\n",
-		runtime.GOMAXPROCS(0), cfg.Blocks, cfg.Blocks*store.DefaultZoneBlock)
+		runtime.GOMAXPROCS(0), cfg.Blocks, cfg.Blocks*dataset.BlockRecords)
 	fmt.Fprintf(os.Stdout, "%-12s %10s %12s %12s %10s %10s %10s %14s\n",
 		"scenario", "requests", "elapsed", "ops/sec", "p50", "p95", "p99", "recskipped/op")
 	for _, r := range results {

@@ -125,10 +125,14 @@
 // Composite specs are compiled by the statistics-free planner in
 // internal/query/plan: the spec is canonicalized (operand order, duplicates
 // and provably-empty subtrees all normalize away) and the canonical form
-// keys a per-dataset compiled-plan cache, so a repeated spec reuses its
-// materialized count vector without touching the transactions. Cache misses
-// evaluate vectorized passes in greedy cheapest-first order; filter scans
-// skip record blocks via the zone sketches (per-block length range + item
+// keys a compiled-plan cache owned by the dataset's current data generation,
+// so a repeated spec reuses its materialized count vector without touching
+// the transactions. Lookup, evaluation and fill go through one pinned
+// generation, and an append publishes a new generation with an empty cache,
+// so a cached vector never outlives its data; plans containing a join are
+// not cached. Cache misses evaluate vectorized passes in greedy
+// cheapest-first order; filter scans walk the dataset's flat storage blocks
+// and skip whole blocks via the zone sketches (per-block length range + item
 // Bloom filter) built at registration and kept in the arena. Appending
 // ?explain=1 to a mechanism endpoint returns the compiled plan, uncharged.
 // Specs in the monotone fragment (all_items, item_count, filter, union,
@@ -206,7 +210,11 @@
 // scratch aliases its buffers: encode it before reusing the scratch.
 //
 // The memory path is flattened the same way the lock path was split. Each
-// catalogued dataset's derived state — item counts, presence bitset, and
+// dataset's transactions are stored in immutable blocks of 2,048 records,
+// every block one flat item array plus end offsets, and data generations
+// share every full block, so an append copies only the partial tail block
+// and the block-pointer list. Each catalogued dataset's derived state —
+// item counts, presence bitset, and
 // min/max/nonzero sketches — lives in one flat columnar arena on the heap,
 // materialised exactly once at registration (or by the one recount a
 // restart replays) and delta-extended (never rebuilt) when records are
@@ -220,11 +228,11 @@
 // Laplace scale multiply factors out exactly in IEEE arithmetic.
 //
 // Reads scale across cores too: a filter query's record scan shards the
-// dataset's zone blocks across a bounded worker pool — capped by
+// dataset's storage blocks across a bounded worker pool — capped by
 // ServerConfig.ScanWorkers (cmd/dpserver -scan-workers; 0 means GOMAXPROCS,
 // 1 forces serial), by the surviving block count, and by a process-wide
 // token budget so overlapping queries cannot oversubscribe the machine.
-// Datasets below the serial-fallback threshold (4 zone blocks = 8192
+// Datasets below the serial-fallback threshold (4 storage blocks = 8192
 // records) never fan out, and a scan that cannot claim a token runs serial
 // rather than queue. Shards merge in deterministic order over exact
 // whole-number float sums, so the parallel result is byte-identical to the
@@ -249,10 +257,13 @@
 //
 // Catalogued datasets are appendable: POST /v1/datasets/{name}/append takes
 // a FIMI delta, validates it against the store's limits, and installs a
-// delta-maintained generation — the count vector, presence bitset, min/max
-// sketches and zone sketches are all extended from the delta alone, so the
-// append cost is independent of how many records are already resident and
-// the dataset's count_scans counter stays at 1. Admitted appends are
+// delta-maintained generation — the new generation shares every full
+// storage block and zone sketch and copies only the partial tail block, and
+// the count vector, presence bitset, min/max sketches and zone sketches are
+// all extended from the delta alone. An append therefore costs
+// O(delta + one block + number of blocks) for the records plus O(items) for
+// the dense count column, never a copy of the resident records, and the
+// dataset's count_scans counter stays at 1. Admitted appends are
 // journalled before they are applied; recovery replays the registration
 // image and then each delta in order. Ordering is per dataset: each
 // dataset's appends serialize on its write domain and carry a 1-based

@@ -17,4 +17,9 @@
 // The package also implements the FIMI text format (one transaction per line,
 // space-separated item ids) so that real datasets can be dropped in when
 // available.
+//
+// Transactions are stored in immutable blocks of BlockRecords records, each
+// a flat item array plus end offsets. Appending shares every full block and
+// copies only the partial tail, so databases derived by AppendRecords cost
+// O(delta + one block + number of blocks) and never disturb the original.
 package dataset

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -40,7 +41,16 @@ func ReadFIMILimited(r io.Reader, name string, lim FIMILimits) (*Transactions, e
 	// input is a few-line delta and a fixed megabyte-sized buffer per parse
 	// would dominate the allocation profile.
 	scanner.Buffer(make([]byte, 16*1024), 16*1024*1024)
-	var records [][]int32
+	// Records are packed straight into blocks: items and ends hold the open
+	// block and are reused, so each sealed block costs two exact-size
+	// allocations and no record gets a slice of its own.
+	t := &Transactions{name: name}
+	var items []int32
+	var ends []uint32
+	seal := func() {
+		t.blocks = append(t.blocks, &Block{items: slices.Clone(items), ends: slices.Clone(ends)})
+		items, ends = items[:0], ends[:0]
+	}
 	line := 0
 	for scanner.Scan() {
 		line++
@@ -48,12 +58,10 @@ func ReadFIMILimited(r io.Reader, name string, lim FIMILimits) (*Transactions, e
 		if text == "" {
 			continue
 		}
-		if lim.MaxRecords > 0 && len(records) >= lim.MaxRecords {
+		if lim.MaxRecords > 0 && t.records >= lim.MaxRecords {
 			return nil, fmt.Errorf("dataset: line %d: more than %d records", line, lim.MaxRecords)
 		}
-		fields := strings.Fields(text)
-		record := make([]int32, 0, len(fields))
-		for _, f := range fields {
+		for _, f := range strings.Fields(text) {
 			v, err := strconv.Atoi(f)
 			if err != nil {
 				return nil, fmt.Errorf("dataset: line %d: invalid item %q: %w", line, f, err)
@@ -71,14 +79,27 @@ func ReadFIMILimited(r io.Reader, name string, lim FIMILimits) (*Transactions, e
 			if lim.MaxItemID > 0 && v > int(lim.MaxItemID) {
 				return nil, fmt.Errorf("dataset: line %d: item id %d exceeds the limit of %d", line, v, lim.MaxItemID)
 			}
-			record = append(record, int32(v))
+			items = append(items, int32(v))
+			if v >= t.items {
+				t.items = v + 1
+			}
 		}
-		records = append(records, record)
+		if uint64(len(items)) > math.MaxUint32 {
+			return nil, fmt.Errorf("dataset: line %d: %d records hold more than %d items", line, len(ends)+1, uint64(math.MaxUint32))
+		}
+		ends = append(ends, uint32(len(items)))
+		t.records++
+		if len(ends) == BlockRecords {
+			seal()
+		}
 	}
 	if err := scanner.Err(); err != nil {
 		return nil, fmt.Errorf("dataset: reading FIMI input: %w", err)
 	}
-	return New(name, records), nil
+	if len(ends) > 0 {
+		seal()
+	}
+	return t, nil
 }
 
 // ReadFIMIFile opens path and parses it with ReadFIMI, naming the dataset
@@ -101,20 +122,19 @@ func ReadFIMIFileLimited(path string, lim FIMILimits) (*Transactions, error) {
 // WriteFIMI writes the database in the FIMI text format.
 func WriteFIMI(w io.Writer, t *Transactions) error {
 	bw := bufio.NewWriter(w)
-	for i := 0; i < t.NumRecords(); i++ {
-		record := t.Record(i)
-		for j, item := range record {
-			if j > 0 {
-				if err := bw.WriteByte(' '); err != nil {
-					return fmt.Errorf("dataset: writing FIMI output: %w", err)
+	var line []byte
+	for _, b := range t.blocks {
+		for i := 0; i < b.Len(); i++ {
+			line = line[:0]
+			for j, item := range b.Record(i) {
+				if j > 0 {
+					line = append(line, ' ')
 				}
+				line = strconv.AppendInt(line, int64(item), 10)
 			}
-			if _, err := bw.WriteString(strconv.Itoa(int(item))); err != nil {
+			if _, err := bw.Write(append(line, '\n')); err != nil {
 				return fmt.Errorf("dataset: writing FIMI output: %w", err)
 			}
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return fmt.Errorf("dataset: writing FIMI output: %w", err)
 		}
 	}
 	return bw.Flush()

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -8,9 +10,11 @@ import (
 // FuzzReadFIMI drives the untrusted-upload parser with arbitrary bytes. The
 // parser must never panic — the upload endpoint feeds it attacker-chosen
 // request bodies — and every accepted parse must satisfy the limits it was
-// given and the Transactions invariants. The seed corpus covers the
-// historical panic (an item id above MaxInt32 silently overflowed the int32
-// conversion and panicked the constructor) plus the format's edge shapes.
+// given and the Transactions invariants, and round-trip through WriteFIMI.
+// The seed corpus covers the historical panic (an item id above MaxInt32
+// silently overflowed the int32 conversion and panicked the constructor),
+// the format's edge shapes, and an input that crosses a storage block edge;
+// the record limit leaves room for two full blocks.
 func FuzzReadFIMI(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -28,11 +32,12 @@ func FuzzReadFIMI(f *testing.F) {
 		"1,2,3\n",
 		strings.Repeat("5 ", 100) + "\n",
 		"65535\n0\n65535\n",
+		strings.Repeat("1 2\n3\n", BlockRecords/2) + "4 5 6\n", // BlockRecords+1 records
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data string) {
-		lim := FIMILimits{MaxRecords: 1024, MaxItemID: 1 << 16}
+		lim := FIMILimits{MaxRecords: 2 * BlockRecords, MaxItemID: 1 << 16}
 		db, err := ReadFIMILimited(strings.NewReader(data), "fuzz", lim)
 		if err == nil {
 			if db.NumRecords() > lim.MaxRecords {
@@ -48,6 +53,23 @@ func FuzzReadFIMI(f *testing.F) {
 			for i, c := range counts {
 				if c < 0 || c > float64(db.NumRecords()) {
 					t.Fatalf("counts[%d] = %v outside [0, %d]", i, c, db.NumRecords())
+				}
+			}
+			var out bytes.Buffer
+			if err := WriteFIMI(&out, db); err != nil {
+				t.Fatal(err)
+			}
+			back, err := ReadFIMILimited(bytes.NewReader(out.Bytes()), "fuzz", lim)
+			if err != nil {
+				t.Fatalf("re-parsing the written form: %v", err)
+			}
+			if back.NumRecords() != db.NumRecords() || back.NumItems() != db.NumItems() {
+				t.Fatalf("round trip: %d records, %d items; want %d, %d",
+					back.NumRecords(), back.NumItems(), db.NumRecords(), db.NumItems())
+			}
+			for i := 0; i < db.NumRecords(); i++ {
+				if !slices.Equal(back.Record(i), db.Record(i)) {
+					t.Fatalf("round trip: record %d = %v, want %v", i, back.Record(i), db.Record(i))
 				}
 			}
 		}

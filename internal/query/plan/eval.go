@@ -2,8 +2,8 @@ package plan
 
 // Plan evaluation: vectorized passes over the columnar arenas. Every node
 // evaluates to a full-universe count vector for the entry it runs against
-// (group-by item); leaves read the arena's cached column, filters scan
-// record blocks under zone-sketch skipping, and composites fold their
+// (group-by item); leaves read the arena's cached column, filters scan the
+// flat storage blocks under zone-sketch skipping, and composites fold their
 // operands elementwise in greedy (cheapest-first) order. Subtrees shared
 // between branches evaluate once — the memo keyed by (dataset, canon) turns
 // the tree into a DAG. Returned child vectors are never mutated: every
@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/freegap/freegap/internal/dataset"
 	"github.com/freegap/freegap/internal/engine"
 	"github.com/freegap/freegap/internal/store"
 )
@@ -23,9 +24,9 @@ import (
 // DefaultMinParallelRecords is the surviving-record threshold below which a
 // filter scan stays serial. Fanning out costs a few goroutine handoffs plus
 // one partial count vector and one stamp array per worker, which dominates
-// until a scan has at least a few zone blocks of real work; four blocks of
+// until a scan has at least a few storage blocks of real work; four blocks of
 // post-skip records is where the fan-out reliably pays for itself.
-const DefaultMinParallelRecords = 4 * store.DefaultZoneBlock
+const DefaultMinParallelRecords = 4 * dataset.BlockRecords
 
 // Options tunes one resolution.
 type Options struct {
@@ -33,11 +34,13 @@ type Options struct {
 	// record. Results are identical either way — skipping only elides blocks
 	// proven unmatching.
 	NoSkip bool
-	// NoCache bypasses the compiled-plan cache (both lookup and fill).
+	// NoCache bypasses the compiled-plan cache (both lookup and fill). Plans
+	// containing a join bypass it regardless: their vectors depend on a
+	// second dataset's generation.
 	NoCache bool
 	// Workers caps the per-scan worker fan-out of block-parallel filter
 	// scans: 0 means GOMAXPROCS, 1 forces serial scans. Results are
-	// byte-identical at every setting — workers own disjoint runs of zone
+	// byte-identical at every setting — workers own disjoint runs of storage
 	// blocks and their whole-number partial counts merge exactly.
 	Workers int
 	// MinParallelRecords is the surviving-record threshold below which a
@@ -120,16 +123,20 @@ type NodeExplain struct {
 
 // Resolve compiles spec against e and materializes its count vector: a
 // cache hit returns the stored vector untouched (count_scans unchanged), a
-// miss evaluates the plan and fills the cache. cat serves cross-dataset
-// joins and may be nil for join-free specs. The spec must already have
-// passed engine validation.
+// miss evaluates the plan and fills the cache. Lookup, evaluation and fill
+// all use one View of e taken up front, so a vector is only ever cached for
+// the generation it was computed from. Plans containing a join are never
+// cached. cat serves cross-dataset joins and may be nil for join-free specs.
+// The spec must already have passed engine validation.
 func Resolve(cat Catalog, e *store.Entry, spec *engine.QuerySpec, opts Options) (*Result, error) {
 	start := time.Now()
 	n := normalize(spec)
 	compile := time.Since(start)
 
-	if !opts.NoCache {
-		if pe, ok := e.Plans().Get(n.canon); ok {
+	v := e.View()
+	cache := !opts.NoCache && !hasJoin(n)
+	if cache {
+		if pe, ok := v.Plans().Get(n.canon); ok {
 			e.NoteResolution()
 			ex := &Explain{Cached: true, CompileMicros: micros(compile)}
 			if stored, ok := pe.Explain.(*Explain); ok && stored != nil {
@@ -143,14 +150,16 @@ func Resolve(cat Catalog, e *store.Entry, spec *engine.QuerySpec, opts Options) 
 		}
 	}
 
-	ctx := &evalCtx{cat: cat, opts: opts, memo: make(map[string][]float64)}
+	ctx := &evalCtx{
+		cat: cat, opts: opts, memo: make(map[string][]float64),
+		views: map[*store.Entry]store.View{e: v},
+	}
 	answers, err := ctx.eval(e, n)
 	if err != nil {
 		return nil, err
 	}
 	e.NoteResolution()
 
-	v := ctx.view(e)
 	ex := &Explain{
 		Dataset:         e.Name(),
 		Canonical:       n.canon,
@@ -166,8 +175,8 @@ func Resolve(cat Catalog, e *store.Entry, spec *engine.QuerySpec, opts Options) 
 		CompileMicros:   micros(compile),
 		Plan:            explainNode(n),
 	}
-	if !opts.NoCache {
-		e.Plans().Put(n.canon, &store.PlanEntry{Answers: answers, Monotonic: n.mono, Explain: ex})
+	if cache {
+		v.Plans().Put(n.canon, &store.PlanEntry{Answers: answers, Monotonic: n.mono, Explain: ex})
 	}
 	return &Result{
 		Answers: answers, Monotonic: n.mono,
@@ -186,6 +195,19 @@ func hashString(s string) uint64 {
 	return h
 }
 
+// hasJoin reports whether n's plan reads another dataset.
+func hasJoin(n *node) bool {
+	if n.kind == engine.QueryJoin {
+		return true
+	}
+	for _, c := range n.children {
+		if hasJoin(c) {
+			return true
+		}
+	}
+	return false
+}
+
 // evalCtx carries one resolution's shared state.
 type evalCtx struct {
 	cat   Catalog
@@ -195,7 +217,8 @@ type evalCtx struct {
 	memo map[string][]float64
 	// views pins one data generation per entry for the whole resolution, so
 	// a concurrent append cannot make two reads of the same dataset disagree
-	// (or pair a new dataset with an old arena) mid-plan.
+	// (or pair a new dataset with an old arena) mid-plan. Resolve seeds it
+	// with the view its cache lookup used.
 	views map[*store.Entry]store.View
 	// stamps backs the per-record distinct-item dedup in filter scans,
 	// reused across filter nodes of one resolution; stamp is the running
@@ -207,9 +230,6 @@ type evalCtx struct {
 // view returns the resolution's pinned data generation for e, taking the
 // snapshot on first use.
 func (c *evalCtx) view(e *store.Entry) store.View {
-	if c.views == nil {
-		c.views = make(map[*store.Entry]store.View)
-	}
 	v, ok := c.views[e]
 	if !ok {
 		v = e.View()
@@ -379,18 +399,16 @@ func emptySupport(v []float64) bool {
 // never depends on the width actually won, only the wall-clock does.
 var scanTokens = make(chan struct{}, runtime.GOMAXPROCS(0))
 
-// blockRange is one zone block's record range [lo, hi).
-type blockRange struct{ lo, hi int }
-
 // filterScan counts, per item, the records matching the node's predicate —
-// the one algebra operation that touches the transactions. Blocks the zone
-// sketches prove unmatching are skipped wholesale (unless Options.NoSkip);
-// each scan bumps the entry's count_scans and records_skipped observables.
-// Surviving blocks are sharded across a bounded worker fan-out when the
-// remaining work clears Options.MinParallelRecords; each worker scans a
-// disjoint contiguous run of blocks into its own partial vector and the
-// partials merge in shard order. Counts are whole numbers, so the merged
-// vector is byte-identical to the serial pass at any fan-out.
+// the one algebra operation that touches the transactions. Storage blocks
+// the zone sketches prove unmatching are skipped wholesale (unless
+// Options.NoSkip); each scan bumps the entry's count_scans and
+// records_skipped observables. Surviving blocks are sharded across a
+// bounded worker fan-out when the remaining work clears
+// Options.MinParallelRecords; each worker scans a disjoint contiguous run of
+// blocks into its own partial vector and the partials merge in shard order.
+// Counts are whole numbers, so the merged vector is byte-identical to the
+// serial pass at any fan-out.
 func (c *evalCtx) filterScan(e *store.Entry, n *node) []float64 {
 	v := c.view(e)
 	db := v.Dataset()
@@ -399,32 +417,36 @@ func (c *evalCtx) filterScan(e *store.Entry, n *node) []float64 {
 	e.NoteCountScan()
 
 	// Consult the sketches first: the surviving block list is what both the
-	// serial and the parallel path scan. Registration and every append build
-	// sketches covering all records, so the blocks tile the dataset.
+	// serial and the parallel path scan. Registration and every append keep
+	// one sketch per storage block.
 	zones := v.Arena().Zones()
-	var ranges []blockRange
+	var blocks []*dataset.Block
 	surviving, skipped := 0, 0
-	for b := 0; b < zones.NumBlocks(); b++ {
-		lo, hi := zones.BlockRange(b)
+	for b := 0; b < db.NumBlocks(); b++ {
+		blk := db.Block(b)
 		if !c.opts.NoSkip && zones.SkipBlock(b, n.contains, n.minLen, n.maxLen) {
 			c.stats.BlocksSkipped++
-			skipped += hi - lo
+			skipped += blk.Len()
 			continue
 		}
-		ranges = append(ranges, blockRange{lo, hi})
-		surviving += hi - lo
+		blocks = append(blocks, blk)
+		surviving += blk.Len()
 	}
 	c.stats.RecordsSkipped += skipped
 	e.NoteRecordsSkipped(uint64(skipped))
 
-	if workers := c.scanWorkers(surviving, len(ranges)); workers > 1 {
-		if c.parallelScan(db, ranges, surviving, workers, n, out) {
+	if workers := c.scanWorkers(surviving, len(blocks)); workers > 1 {
+		if c.parallelScan(blocks, surviving, workers, n, out) {
 			return out
 		}
 	}
 	c.noteWorkers(1)
-	for _, r := range ranges {
-		c.scanRange(db, r.lo, r.hi, n, out)
+	c.stats.RecordsScanned += surviving
+	if len(c.stamps) < len(out) {
+		c.stamps = make([]int32, len(out))
+	}
+	for _, blk := range blocks {
+		c.stamp = scanBlock(blk, n, c.stamps, c.stamp, out)
 	}
 	return out
 }
@@ -460,12 +482,12 @@ func (c *evalCtx) noteWorkers(w int) {
 	}
 }
 
-// parallelScan shards ranges into up to workers contiguous chunks balanced
+// parallelScan shards blocks into up to workers contiguous chunks balanced
 // by record count and scans them concurrently, each worker into a private
 // partial vector with private dedup stamps, then folds the partials into out
 // in shard order. Returns false when no process-wide scan token could be
 // claimed — the caller falls back to the serial loop.
-func (c *evalCtx) parallelScan(db recordSource, ranges []blockRange, surviving, workers int, n *node, out []float64) bool {
+func (c *evalCtx) parallelScan(blocks []*dataset.Block, surviving, workers int, n *node, out []float64) bool {
 	// Claim tokens for the extra goroutines; the fan-out shrinks rather than
 	// waits when other scans hold the budget.
 	extra := 0
@@ -486,17 +508,17 @@ claim:
 	// Contiguous shards balanced by surviving records, never more than one
 	// shard short of the claimed width.
 	target := (surviving + workers - 1) / workers
-	shards := make([][]blockRange, 0, workers)
+	shards := make([][]*dataset.Block, 0, workers)
 	start, acc := 0, 0
-	for i, r := range ranges {
-		acc += r.hi - r.lo
+	for i, blk := range blocks {
+		acc += blk.Len()
 		if acc >= target && len(shards) < workers-1 {
-			shards = append(shards, ranges[start:i+1])
+			shards = append(shards, blocks[start:i+1])
 			start, acc = i+1, 0
 		}
 	}
-	if start < len(ranges) {
-		shards = append(shards, ranges[start:])
+	if start < len(blocks) {
+		shards = append(shards, blocks[start:])
 	}
 	for extra > len(shards)-1 { // balancing produced fewer shards than tokens
 		<-scanTokens
@@ -514,10 +536,10 @@ claim:
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-scanTokens }()
-			parts[i].out, parts[i].scanned = scanShard(db, shards[i], n, len(out))
+			parts[i].out, parts[i].scanned = scanShard(shards[i], n, len(out))
 		}(i)
 	}
-	parts[0].out, parts[0].scanned = scanShard(db, shards[0], n, len(out))
+	parts[0].out, parts[0].scanned = scanShard(shards[0], n, len(out))
 	wg.Wait()
 
 	// Deterministic shard-order merge. The partials hold whole-number counts
@@ -535,37 +557,31 @@ claim:
 	return true
 }
 
-// scanShard scans one worker's run of block ranges into a private vector
-// with private dedup state.
-func scanShard(db recordSource, shard []blockRange, n *node, universe int) ([]float64, int) {
+// scanShard scans one worker's run of blocks into a private vector with
+// private dedup state.
+func scanShard(shard []*dataset.Block, n *node, universe int) ([]float64, int) {
 	out := make([]float64, universe)
 	stamps := make([]int32, universe)
 	var stamp int32
 	scanned := 0
-	for _, r := range shard {
-		scanned += r.hi - r.lo
-		stamp = scanRecords(db, r.lo, r.hi, n, stamps, stamp, out)
+	for _, blk := range shard {
+		scanned += blk.Len()
+		stamp = scanBlock(blk, n, stamps, stamp, out)
 	}
 	return out, scanned
 }
 
-// scanRange scans records [lo, hi) with the resolution-shared dedup stamps
-// (the serial path).
-func (c *evalCtx) scanRange(db recordSource, lo, hi int, n *node, out []float64) {
-	c.stats.RecordsScanned += hi - lo
-	if len(c.stamps) < len(out) {
-		c.stamps = make([]int32, len(out))
-	}
-	c.stamp = scanRecords(db, lo, hi, n, c.stamps, c.stamp, out)
-}
-
-// scanRecords scans records [lo, hi), adding each matching record once to
-// the count of every distinct item it contains (the same per-record dedup
-// the registration count uses, via a stamp array). It returns the advanced
-// stamp generation for the caller to carry into its next range.
-func scanRecords(db recordSource, lo, hi int, n *node, stamps []int32, stamp int32, out []float64) int32 {
-	for r := lo; r < hi; r++ {
-		rec := db.Record(r)
+// scanBlock scans one storage block's flat items, adding each matching
+// record once to the count of every distinct item it contains (the same
+// per-record dedup the registration count uses, via a stamp array). It
+// returns the advanced stamp generation for the caller to carry into its
+// next block.
+func scanBlock(blk *dataset.Block, n *node, stamps []int32, stamp int32, out []float64) int32 {
+	items := blk.Items()
+	var start uint32
+	for _, end := range blk.Ends() {
+		rec := items[start:end]
+		start = end
 		if len(rec) < n.minLen || (n.maxLen > 0 && len(rec) > n.maxLen) {
 			continue
 		}
@@ -581,12 +597,6 @@ func scanRecords(db recordSource, lo, hi int, n *node, stamps []int32, stamp int
 		}
 	}
 	return stamp
-}
-
-// recordSource is the slice of the Transactions API the scanner needs.
-type recordSource interface {
-	Record(i int) []int32
-	NumRecords() int
 }
 
 // containsAll reports whether rec holds every item in want (both may be

@@ -3,8 +3,8 @@ package plan
 import (
 	"testing"
 
+	"github.com/freegap/freegap/internal/dataset"
 	"github.com/freegap/freegap/internal/engine"
-	"github.com/freegap/freegap/internal/store"
 )
 
 // filterAll matches every record of the uniform dataset (item 0 occurs in
@@ -40,7 +40,7 @@ func TestParallelScanThreshold(t *testing.T) {
 
 	// The uniform dataset (2 blocks + 100 records) is below the default
 	// 4-block threshold: even with workers offered, the scan stays serial.
-	if 2*store.DefaultZoneBlock+100 >= DefaultMinParallelRecords {
+	if 2*dataset.BlockRecords+100 >= DefaultMinParallelRecords {
 		t.Fatal("test premise broken: uniform dataset no longer below the default threshold")
 	}
 	res, err := Resolve(w.store, e, filterAll(), Options{NoCache: true, Workers: 4})
@@ -52,7 +52,7 @@ func TestParallelScanThreshold(t *testing.T) {
 	}
 
 	// A positive threshold the dataset clears lets the same scan fan out.
-	res, err = Resolve(w.store, e, filterAll(), Options{NoCache: true, Workers: 4, MinParallelRecords: store.DefaultZoneBlock})
+	res, err = Resolve(w.store, e, filterAll(), Options{NoCache: true, Workers: 4, MinParallelRecords: dataset.BlockRecords})
 	if err != nil {
 		t.Fatal(err)
 	}

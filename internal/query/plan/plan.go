@@ -16,10 +16,12 @@
 //   - Canonicalization: associative operators are flattened, operands
 //     sorted and deduplicated, zero-result subtrees propagated out. Two
 //     semantically equal specs (union order, duplicate operands, empty
-//     ranges) normalize to one canonical string, which keys the per-dataset
-//     compiled-plan cache — a repeated spec costs one lock-free map lookup,
-//     with the materialized vector reused verbatim (datasets are immutable,
-//     so cached vectors never go stale).
+//     ranges) normalize to one canonical string, which keys the compiled-plan
+//     cache of the dataset's current data generation — a repeated spec costs
+//     one lock-free map lookup, with the materialized vector reused verbatim
+//     (each generation is immutable and owns its cache, so cached vectors
+//     never go stale; join plans, which read a second dataset, are not
+//     cached).
 //
 //   - Data skipping: filter nodes consult the arena's zone sketches
 //     (per-block min/max record length + item bloom) and skip whole record

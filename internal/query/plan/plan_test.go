@@ -170,10 +170,10 @@ func (w *testWorld) entry(t *testing.T, name string) *store.Entry {
 // clusteredRecords builds blocks of records where block b holds only items
 // 8b..8b+7 — the shape zone sketches skip well.
 func clusteredRecords(blocks int) [][]int32 {
-	recs := make([][]int32, 0, blocks*store.DefaultZoneBlock+37)
+	recs := make([][]int32, 0, blocks*dataset.BlockRecords+37)
 	for b := 0; b < blocks; b++ {
 		base := int32(b * 8)
-		for i := 0; i < store.DefaultZoneBlock; i++ {
+		for i := 0; i < dataset.BlockRecords; i++ {
 			rec := []int32{base, base + int32(i%8)} // i%8==0 duplicates the item
 			if i%5 == 0 {
 				rec = append(rec, base+1)
@@ -181,7 +181,7 @@ func clusteredRecords(blocks int) [][]int32 {
 			recs = append(recs, rec)
 		}
 	}
-	// A partial tail block, so BlockRange clamping is exercised.
+	// A partial tail block, so the short last storage block is exercised.
 	for i := 0; i < 37; i++ {
 		recs = append(recs, []int32{int32(blocks * 8), int32(blocks*8 + 1)})
 	}
@@ -218,7 +218,7 @@ func newTestWorld(t *testing.T) *testWorld {
 	}, 16)
 	add("other", [][]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}}, 8)
 	add("clustered", clusteredRecords(3), 0)
-	add("uniform", uniformRecords(2*store.DefaultZoneBlock+100), 16)
+	add("uniform", uniformRecords(2*dataset.BlockRecords+100), 16)
 	t.Cleanup(func() { w.store.Close() })
 	return w
 }
@@ -663,7 +663,7 @@ func TestJoinErrors(t *testing.T) {
 }
 
 func TestPlanCacheEpochFlush(t *testing.T) {
-	var pc store.PlanCache
+	pc := newTestWorld(t).entry(t, "main").Plans()
 	for i := 0; i < store.DefaultMaxPlans+10; i++ {
 		pc.Put(fmt.Sprint("k", i), &store.PlanEntry{})
 	}

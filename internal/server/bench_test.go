@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -282,14 +283,14 @@ func BenchmarkServerTopKPersist(b *testing.B) {
 // "warm" serves the cached vector — the compiled-plan cache hit path.
 func BenchmarkServerFilteredQuery(b *testing.B) {
 	const blocks = 32
-	clustered := make([][]int32, 0, blocks*store.DefaultZoneBlock)
+	clustered := make([][]int32, 0, blocks*dataset.BlockRecords)
 	for blk := 0; blk < blocks; blk++ {
 		base := int32(blk * 8)
-		for i := 0; i < store.DefaultZoneBlock; i++ {
+		for i := 0; i < dataset.BlockRecords; i++ {
 			clustered = append(clustered, []int32{base, base + int32(i%8)})
 		}
 	}
-	uniform := make([][]int32, blocks*store.DefaultZoneBlock)
+	uniform := make([][]int32, blocks*dataset.BlockRecords)
 	for i := range uniform {
 		uniform[i] = []int32{0, int32(1 + i%200)}
 	}
@@ -346,49 +347,56 @@ func BenchmarkServerFilteredQuery(b *testing.B) {
 }
 
 // BenchmarkDatasetAppend measures the streaming-ingest path: one small FIMI
-// delta POSTed against a 65k-record catalogued dataset. The append installs a
-// delta-maintained generation — count vector, sketches and zone extensions —
-// and never rescans the resident records, so the per-append cost must stay
-// flat in the dataset size. The catalogue entry is rebuilt off the clock
-// every few thousand iterations to keep the dataset from growing unboundedly
-// across b.N.
+// delta POSTed against a catalogued dataset of 65,536 and of 1,048,576
+// records. The append shares every full storage block, copies the partial
+// tail block, delta-maintains the count vector and sketches, and never
+// rescans the resident records, so the per-append cost must stay flat in the
+// dataset size: the two sub-benchmarks should read within a small factor of
+// each other in both ns/op and B/op. The catalogue entry is rebuilt off the
+// clock every few thousand iterations to keep the dataset from growing
+// unboundedly across b.N.
 func BenchmarkDatasetAppend(b *testing.B) {
-	recs := make([][]int32, 65_536)
-	for i := range recs {
-		recs[i] = []int32{int32(i % 97)}
-	}
-	s := mustServer(b, Config{TenantBudget: benchBudget, Seed: 1, Workers: 1})
-	register := func() {
-		s.Datasets().Remove("grow")
-		if _, err := s.RegisterDataset("grow", "bench:append", dataset.New("grow", recs)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	register()
-	h := s.Handler()
-	body := []byte(`{"fimi":"7 11\n13\n"}`)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%4096 == 4095 {
-			b.StopTimer()
+	for _, size := range []int{65_536, 1_048_576} {
+		b.Run(strconv.Itoa(size), func(b *testing.B) {
+			recs := make([][]int32, size)
+			for i := range recs {
+				recs[i] = []int32{int32(i % 97)}
+			}
+			db := dataset.New("grow", recs)
+			s := mustServer(b, Config{TenantBudget: benchBudget, Seed: 1, Workers: 1})
+			register := func() {
+				s.Datasets().Remove("grow")
+				if _, err := s.RegisterDataset("grow", "bench:append", db); err != nil {
+					b.Fatal(err)
+				}
+			}
 			register()
-			b.StartTimer()
-		}
-		req := httptest.NewRequest(http.MethodPost, "/v1/datasets/grow/append", bytes.NewReader(body))
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, req)
-		if w.Code != http.StatusOK {
-			b.Fatalf("status = %d, body = %s", w.Code, w.Body.String())
-		}
-	}
-	b.StopTimer()
-	entry, err := s.Datasets().Get("grow")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if got := entry.CountScans(); got != 1 {
-		b.Fatalf("CountScans = %d after appends, want 1 (append rescanned the dataset)", got)
+			h := s.Handler()
+			body := []byte(`{"fimi":"7 11\n13\n"}`)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%4096 == 4095 {
+					b.StopTimer()
+					register()
+					b.StartTimer()
+				}
+				req := httptest.NewRequest(http.MethodPost, "/v1/datasets/grow/append", bytes.NewReader(body))
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, req)
+				if w.Code != http.StatusOK {
+					b.Fatalf("status = %d, body = %s", w.Code, w.Body.String())
+				}
+			}
+			b.StopTimer()
+			entry, err := s.Datasets().Get("grow")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if got := entry.CountScans(); got != 1 {
+				b.Fatalf("CountScans = %d after appends, want 1 (append rescanned the dataset)", got)
+			}
+		})
 	}
 }
 
@@ -399,10 +407,9 @@ func BenchmarkDatasetAppend(b *testing.B) {
 // write domains throughput must rise with cores. CI's -cpu=1,2,4 scaling
 // matrix runs this row (deliberately named so the 15% single-setting guard
 // on BenchmarkDatasetAppend does not also average these numbers in). The
-// base datasets are kept small: an append installs a copied generation, so
-// a large resident set would make the benchmark measure allocator/GC
-// bandwidth (BenchmarkDatasetAppend already covers that cost) instead of
-// the write-path coordination this row exists to watch.
+// base datasets are kept small: BenchmarkDatasetAppend covers how an
+// append's cost depends on the dataset size, and this row exists to watch
+// the write-path coordination.
 func BenchmarkParallelAppendDistinctDatasets(b *testing.B) {
 	const numDatasets = 8
 	recs := make([][]int32, 256)
@@ -427,7 +434,7 @@ func BenchmarkParallelAppendDistinctDatasets(b *testing.B) {
 			// Round-robin the target per op (not per goroutine) so every
 			// dataset grows at the same rate whatever the -cpu setting —
 			// otherwise the single-goroutine run piles all growth onto one
-			// dataset and its larger generation copies skew the comparison.
+			// dataset and its larger tail-block copies skew the comparison.
 			name := names[int(next.Add(1)-1)%numDatasets]
 			req := httptest.NewRequest(http.MethodPost, "/v1/datasets/"+name+"/append", bytes.NewReader(body))
 			w := httptest.NewRecorder()

@@ -311,11 +311,12 @@ type Server struct {
 	monNextID atomic.Uint64
 	// monClosed is closed at the start of Shutdown/Close so long-lived SSE
 	// handlers hang up before the HTTP server waits on them to drain.
-	monClosed       chan struct{}
-	appendsTotal    *telemetry.Counter
-	monitorVerdicts *telemetry.Counter
-	monitorsGauge   *telemetry.Gauge
-	shutdownOnce    sync.Once
+	monClosed          chan struct{}
+	appendsTotal       *telemetry.Counter
+	monitorVerdicts    *telemetry.Counter
+	monitorSubsDropped *telemetry.Counter
+	monitorsGauge      *telemetry.Gauge
+	shutdownOnce       sync.Once
 }
 
 // hotCounters holds the metric series touched on every request, resolved
@@ -468,6 +469,7 @@ func New(cfg Config) (*Server, error) {
 	s.telemetry.Help("freegap_appends_total", "Dataset append requests admitted and applied incrementally.")
 	s.telemetry.Help("freegap_monitors", "Registered SVT threshold monitors, retired ones included.")
 	s.telemetry.Help("freegap_monitor_verdicts_total", "Threshold-monitor verdicts released across all monitors.")
+	s.telemetry.Help("freegap_monitor_subscribers_dropped_total", "SSE monitor subscribers disconnected because their verdict buffer was full.")
 	s.telemetry.Help("freegap_plan_cache_flushes_total", "Compiled-plan cache capacity sweeps across all datasets (full resets excluded).")
 	s.telemetry.FloatGauge("freegap_build_info",
 		telemetry.L("version", Version), telemetry.L("go_version", runtime.Version())).Set(1)
@@ -477,6 +479,7 @@ func New(cfg Config) (*Server, error) {
 	// monitor registrations moves the monitor gauge and verdict counter.
 	s.appendsTotal = s.telemetry.Counter("freegap_appends_total")
 	s.monitorVerdicts = s.telemetry.Counter("freegap_monitor_verdicts_total")
+	s.monitorSubsDropped = s.telemetry.Counter("freegap_monitor_subscribers_dropped_total")
 	s.monitorsGauge = s.telemetry.Gauge("freegap_monitors")
 	if s.persist != nil {
 		s.telemetry.Help("freegap_persist_failed", "1 when the durable state log has hit an I/O error and charges are no longer journalled.")

@@ -22,10 +22,10 @@ package server
 // serializes (journal monitor → register → seq-0 verdict) against (journal
 // append → install → fan out verdicts) for its datasets only. Appends carry
 // a per-dataset sequence number so replay can check the subsequence is
-// contiguous. The derived-state build for an append (count deltas, sketch
-// and zone extension — the expensive part) happens in store.PrepareAppend
-// *before* the domain lock; only journal + install + delivery run under it,
-// so concurrent appends to different datasets overlap their builds and never
+// contiguous. The derived-state build for an append (tail block copy, count
+// deltas, sketch and zone extension) happens in store.PrepareAppend *before*
+// the domain lock; only journal + install + delivery run under it, so
+// concurrent appends to different datasets overlap their builds and never
 // contend. With each monitor's noise stream a pure function of its
 // journalled seed, a restart replays the event stream and reproduces every
 // verdict bit for bit.
@@ -53,8 +53,9 @@ import (
 const mechMonitors = "monitors"
 
 // monitorSubBuffer is the per-subscriber verdict channel depth. A subscriber
-// that falls this far behind is dropped (its channel closed) rather than
-// allowed to stall appends; the client reconnects and replays history.
+// that falls this far behind is dropped (its channel closed, and
+// freegap_monitor_subscribers_dropped_total incremented) rather than allowed
+// to stall appends; the client reconnects and replays history.
 const monitorSubBuffer = 64
 
 // numStreamDomains is the number of per-dataset write-ordering domains.
@@ -111,13 +112,14 @@ type monitor struct {
 
 // observe advances the monitor's SVT run by one query (the item's current
 // count) and, if the run is still live, records and fans out the verdict.
-// records is the dataset record count the query was evaluated at.
-func (m *monitor) observe(count float64, records int) *MonitorVerdict {
+// records is the dataset record count the query was evaluated at. It also
+// returns how many subscribers were dropped for falling behind.
+func (m *monitor) observe(count float64, records int) (*MonitorVerdict, int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	item, ok := m.stream.Arrive(count)
 	if !ok {
-		return nil
+		return nil, 0
 	}
 	v := MonitorVerdict{
 		Monitor:    m.id,
@@ -132,6 +134,7 @@ func (m *monitor) observe(count float64, records int) *MonitorVerdict {
 		v.Gap = item.Gap
 	}
 	m.verdicts = append(m.verdicts, v)
+	dropped := 0
 	for ch := range m.subs {
 		select {
 		case ch <- v:
@@ -141,9 +144,10 @@ func (m *monitor) observe(count float64, records int) *MonitorVerdict {
 			// hang up; the client reconnects and replays the history.
 			delete(m.subs, ch)
 			close(ch)
+			dropped++
 		}
 	}
-	return &v
+	return &v, dropped
 }
 
 // info snapshots the monitor for the API.
@@ -269,9 +273,12 @@ func (s *Server) evaluateMonitor(m *monitor, e *store.Entry) *MonitorVerdict {
 	if int(m.item) < len(counts) {
 		count = counts[m.item]
 	}
-	verdict := m.observe(count, v.Dataset().NumRecords())
+	verdict, dropped := m.observe(count, v.Dataset().NumRecords())
 	if verdict != nil {
 		s.monitorVerdicts.Inc()
+	}
+	if dropped > 0 {
+		s.monitorSubsDropped.Add(uint64(dropped))
 	}
 	return verdict
 }
@@ -378,10 +385,10 @@ func (s *Server) serveDatasetAppend(w *traceWriter, r *http.Request) string {
 	}
 	w.mark(stageValidate)
 
-	// Build the whole next generation — count deltas, sketch extension, zone
-	// extension, the expensive part of an append — before taking any lock, so
-	// appends to different datasets overlap their builds. PrepareAppend also
-	// validates the grown dataset against the catalog limits.
+	// Build the whole next generation — tail block copy, count deltas, sketch
+	// and zone extension — before taking any lock, so appends to different
+	// datasets overlap their builds. PrepareAppend also validates the grown
+	// dataset against the catalog limits.
 	p, err := s.datasets.PrepareAppend(name, delta)
 	if err != nil {
 		if errors.Is(err, store.ErrUnknownDataset) {

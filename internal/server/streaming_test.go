@@ -389,3 +389,78 @@ func TestStreamingStressInterleaved(t *testing.T) {
 		t.Errorf("count_scans after stress = %d, want 1", got)
 	}
 }
+
+// TestMonitorDropsSubscriberThatNeverReads attaches a subscriber that never
+// drains its channel, then appends past its buffer: the appends must not
+// block, the subscriber's channel must be closed and counted in
+// freegap_monitor_subscribers_dropped_total, and a fresh subscription must
+// replay the whole verdict history from seq 0.
+func TestMonitorDropsSubscriberThatNeverReads(t *testing.T) {
+	s, ts := newTestServer(t, Config{TenantBudget: 10})
+	if _, err := s.RegisterDataset("clicks", "test", bigTestDataset(3_000)); err != nil {
+		t.Fatal(err)
+	}
+	// A threshold far above any count keeps the monitor answering "below",
+	// so every append releases one verdict and the run never retires.
+	resp, data := postJSON(t, ts.URL+"/v1/monitors", MonitorCreateRequest{
+		Tenant: "acme", Dataset: "clicks", Item: 7, Threshold: 1e9, Epsilon: 0.5, Seed: 7})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("monitor create status = %d, body = %s", resp.StatusCode, data)
+	}
+	id := decodeInto[MonitorCreateResponse](t, data).ID
+	m, ok := s.lookupMonitor(id)
+	if !ok {
+		t.Fatalf("monitor %s not registered", id)
+	}
+	_, ch := m.subscribe() // never read
+
+	appends := monitorSubBuffer + 1
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < appends; i++ {
+			resp, err := http.Post(ts.URL+"/v1/datasets/clicks/append", "application/json", strings.NewReader(`{"fimi":"7\n"}`))
+			if err != nil {
+				t.Errorf("append %d: %v", i, err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("append %d: status %d", i, resp.StatusCode)
+				return
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("appends blocked behind a subscriber that never reads")
+	}
+
+	// A dropped subscriber's channel holds its full buffer, then is closed.
+	buffered := 0
+	for closed := false; !closed; {
+		select {
+		case _, open := <-ch:
+			if open {
+				buffered++
+			} else {
+				closed = true
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the dropped subscriber's channel was never closed")
+		}
+	}
+	if buffered != monitorSubBuffer {
+		t.Errorf("dropped subscriber held %d verdicts, want its full buffer of %d", buffered, monitorSubBuffer)
+	}
+	if got := s.Metrics().Counter("freegap_monitor_subscribers_dropped_total").Value(); got != 1 {
+		t.Errorf("freegap_monitor_subscribers_dropped_total = %d, want 1", got)
+	}
+	history := readSSEVerdicts(t, ts.URL+"/v1/monitors/"+id+"/stream", appends+1, 10*time.Second)
+	for seq, v := range history {
+		if !strings.Contains(v, fmt.Sprintf(`"seq":%d,`, seq)) {
+			t.Fatalf("replayed verdict %d = %s, want seq %d", seq, v, seq)
+		}
+	}
+}

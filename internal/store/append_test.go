@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -119,29 +120,48 @@ func TestAppendFlushesPlanCache(t *testing.T) {
 }
 
 func TestExtendZonesMatchesFromScratchBuild(t *testing.T) {
-	records := make([][]int32, 300)
+	records := make([][]int32, 2*dataset.BlockRecords+900)
 	for i := range records {
-		records[i] = []int32{int32(i % 7), int32(i % 31), int32(i % 64)}
+		records[i] = make([]int32, 1+i%5) // lengths vary inside every block
+		for j := range records[i] {
+			records[i][j] = int32((i*7 + j*31) % 97)
+		}
 	}
-	base := dataset.New("zones", records[:130])
-	z := BuildZones(base, 64)
-
-	delta := records[130:]
-	grown := base.AppendRecords(delta)
-	got := ExtendZones(z, grown, base.NumRecords())
-	want := BuildZones(grown, 64)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ExtendZones diverged from a from-scratch build:\n got %+v\nwant %+v", got, want)
+	// Split points on, just before and just after the block edges. The first
+	// appended record is the only long one, so a sketch that missed it would
+	// show in its block's length range.
+	long := make([]int32, 40)
+	for j := range long {
+		long[j] = int32(100 + j)
 	}
-	// The shared prefix blocks must not be rescanned state — they are copied
-	// — and the original sketches must be untouched.
-	if !reflect.DeepEqual(z, BuildZones(base, 64)) {
-		t.Error("ExtendZones mutated the old generation's sketches")
+	for _, split := range []int{0, 1, 130, dataset.BlockRecords - 1, dataset.BlockRecords,
+		dataset.BlockRecords + 1, 2 * dataset.BlockRecords, len(records)} {
+		base := dataset.New("zones", records[:split])
+		z := BuildZones(base)
+		delta := slices.Clone(records[split:])
+		if len(delta) > 0 {
+			delta[0] = long
+		}
+		grown := base.AppendRecords(delta)
+		got := ExtendZones(z, grown, base.NumRecords())
+		if want := BuildZones(grown); !reflect.DeepEqual(got, want) {
+			t.Errorf("split %d: ExtendZones diverged from a from-scratch build", split)
+		}
+		// Full blocks' sketches are shared, not copied, and the original
+		// sketches must be untouched.
+		for b := 0; b < split/dataset.BlockRecords; b++ {
+			if got.blocks[b] != z.blocks[b] {
+				t.Errorf("split %d: the sketch of full block %d was copied, not shared", split, b)
+			}
+		}
+		if !reflect.DeepEqual(z, BuildZones(base)) {
+			t.Errorf("split %d: ExtendZones mutated the old generation's sketches", split)
+		}
 	}
 }
 
 func TestPlanCacheSecondChanceSweep(t *testing.T) {
-	var c PlanCache
+	c := newPlanCache(new(planCounters))
 	for i := 0; i < DefaultMaxPlans; i++ {
 		c.Put(fmt.Sprintf("k%d", i), &PlanEntry{})
 	}
@@ -172,7 +192,7 @@ func TestPlanCacheSecondChanceSweep(t *testing.T) {
 
 	// The protected set is capped: a sweep with everything hot must not keep
 	// the whole generation (that would just defer the same wholesale flush).
-	var full PlanCache
+	full := newPlanCache(new(planCounters))
 	for i := 0; i < DefaultMaxPlans; i++ {
 		key := fmt.Sprintf("k%d", i)
 		full.Put(key, &PlanEntry{})
@@ -226,5 +246,69 @@ func TestAppendConcurrentWithReaders(t *testing.T) {
 	wg.Wait()
 	if got, want := e.Info().Records, 4+400; got != want {
 		t.Errorf("Records = %d, want %d", got, want)
+	}
+}
+
+// TestPreparesFromOneBaseKeepEveryGenerationIntact prepares two appends
+// against one base generation concurrently, installs the first, and
+// re-prepares the second as a losing appender does. Every generation
+// involved — the base, the installed one, the stale one and the re-prepared
+// one — must keep exactly its own records: a prepare copies the base's
+// partial tail block instead of extending it in place.
+func TestPreparesFromOneBaseKeepEveryGenerationIntact(t *testing.T) {
+	recs := make([][]int32, dataset.BlockRecords+100) // a 100-record partial tail
+	for i := range recs {
+		recs[i] = []int32{int32(i % 13), int32(i % 5)}
+	}
+	s := New()
+	e, err := s.Register("twin", "test", dataset.New("twin", recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := e.Dataset()
+	d1 := [][]int32{{1, 2}, {3}}
+	d2 := [][]int32{{7, 8, 9}, {10}, {11}}
+	var p1, p2 *PendingAppend
+	var err1, err2 error
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); p1, err1 = s.PrepareAppend("twin", d1) }()
+	go func() { defer wg.Done(); p2, err2 = s.PrepareAppend("twin", d2) }()
+	wg.Wait()
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if _, err := s.InstallAppend(p1); err != nil {
+		t.Fatal(err)
+	}
+	installed := e.Dataset()
+	if _, err := s.InstallAppend(p2); !errors.Is(err, ErrStaleAppend) {
+		t.Fatalf("installing the second prepare: err = %v, want ErrStaleAppend", err)
+	}
+	stale := p2.next.db
+	if p2, err = s.PrepareAppend("twin", d2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.InstallAppend(p2); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct {
+		name string
+		db   *dataset.Transactions
+		want [][]int32
+	}{
+		{"base", base, recs},
+		{"installed", installed, slices.Concat(recs, d1)},
+		{"stale", stale, slices.Concat(recs, d2)},
+		{"re-prepared", e.Dataset(), slices.Concat(recs, d1, d2)},
+	} {
+		if g.db.NumRecords() != len(g.want) {
+			t.Fatalf("%s generation holds %d records, want %d", g.name, g.db.NumRecords(), len(g.want))
+		}
+		for i, rec := range g.want {
+			if got := g.db.Record(i); !slices.Equal(got, rec) {
+				t.Fatalf("%s generation record %d = %v, want %v", g.name, i, got, rec)
+			}
+		}
 	}
 }

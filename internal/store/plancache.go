@@ -1,17 +1,19 @@
 package store
 
-// Per-dataset compiled-plan cache. Canonicalized query specs hash to a
-// materialized count vector (plus the plan's explain payload), so a repeated
-// composite query costs one lock-free map lookup instead of a record scan.
-// Cached vectors describe one dataset generation — an append flushes the
-// cache via Reset, so a stale vector is never served; the cache lives on the
-// Entry, so removing and re-registering a name can never serve another
-// dataset's vectors.
+// Compiled-plan caches. Canonicalized query specs hash to a materialized
+// count vector (plus the plan's explain payload), so a repeated composite
+// query costs one lock-free map lookup instead of a record scan. Each data
+// generation of an entry owns its own cache: a vector is looked up and
+// stored only through the View it was evaluated against, so a resolution
+// that loses a race with an append fills the superseded generation's cache,
+// which nothing reads again, and a stale vector is never served. The
+// hit/miss/flush counters are the entry's lifetime totals, shared by all of
+// its generations' caches.
 //
 // Reads follow the same RCU discipline as the catalog itself: Get loads the
-// current immutable generation through an atomic pointer and walks it
-// without any lock, writers copy-and-swap under a mutex. The generation map
-// is never mutated in place.
+// current immutable map through an atomic pointer and walks it without any
+// lock, writers copy-and-swap under a mutex. A published map is never
+// mutated in place.
 
 import (
 	"sync"
@@ -47,53 +49,62 @@ type PlanEntry struct {
 	hot atomic.Bool
 }
 
-// planGen is one immutable generation of the cache's key → plan mapping.
-type planGen = map[string]*PlanEntry
+// planMap is one immutable snapshot of a cache's key → plan mapping.
+type planMap = map[string]*PlanEntry
 
-// PlanCache is a concurrency-safe compiled-plan cache keyed by canonical
-// spec strings. The zero value is ready to use.
-type PlanCache struct {
-	// writeMu serializes Put/Reset (the copy-and-swap writers).
-	writeMu sync.Mutex
-	// gen points at the current immutable generation; nil means empty.
-	gen atomic.Pointer[planGen]
-
+// planCounters are an entry's lifetime plan-cache counters.
+type planCounters struct {
 	hits    atomic.Uint64
 	misses  atomic.Uint64
 	flushes atomic.Uint64
+}
+
+// PlanCache is one data generation's concurrency-safe compiled-plan cache,
+// keyed by canonical spec strings.
+type PlanCache struct {
+	// writeMu serializes Put/Reset (the copy-and-swap writers).
+	writeMu sync.Mutex
+	// plans points at the current immutable map; nil means empty.
+	plans atomic.Pointer[planMap]
+	// counters are shared with every other generation of the same entry.
+	counters *planCounters
+}
+
+func newPlanCache(counters *planCounters) *PlanCache {
+	return &PlanCache{counters: counters}
 }
 
 // Get returns the cached plan for key, counting the lookup as a hit or a
 // miss. It takes no lock. A hit marks the entry as recently used, so the
 // next capacity sweep keeps it.
 func (c *PlanCache) Get(key string) (*PlanEntry, bool) {
-	if gen := c.gen.Load(); gen != nil {
-		if pe, ok := (*gen)[key]; ok {
-			c.hits.Add(1)
+	if m := c.plans.Load(); m != nil {
+		if pe, ok := (*m)[key]; ok {
+			c.counters.hits.Add(1)
 			if !pe.hot.Load() {
 				pe.hot.Store(true)
 			}
 			return pe, true
 		}
 	}
-	c.misses.Add(1)
+	c.counters.misses.Add(1)
 	return nil, false
 }
 
 // Put caches pe under key. A full cache runs a second-chance sweep first:
 // plans that served a hit since the last sweep survive, capped at
 // maxProtectedPlans, and their hot bits reset so survival must be re-earned.
-// Concurrent puts of the same key are idempotent — both vectors are correct,
-// the later generation wins.
+// Concurrent puts of the same key are idempotent — both vectors describe
+// this cache's data generation, and the later put wins.
 func (c *PlanCache) Put(key string, pe *PlanEntry) {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	var cur planGen
-	if gen := c.gen.Load(); gen != nil {
-		cur = *gen
+	var cur planMap
+	if m := c.plans.Load(); m != nil {
+		cur = *m
 	}
 	if len(cur) >= DefaultMaxPlans {
-		next := make(planGen, maxProtectedPlans+1)
+		next := make(planMap, maxProtectedPlans+1)
 		for k, v := range cur {
 			if len(next) >= maxProtectedPlans {
 				break
@@ -104,39 +115,38 @@ func (c *PlanCache) Put(key string, pe *PlanEntry) {
 			}
 		}
 		next[key] = pe
-		c.flushes.Add(1)
-		c.gen.Store(&next)
+		c.counters.flushes.Add(1)
+		c.plans.Store(&next)
 		return
 	}
-	next := make(planGen, len(cur)+1)
+	next := make(planMap, len(cur)+1)
 	for k, v := range cur {
 		next[k] = v
 	}
 	next[key] = pe
-	c.gen.Store(&next)
+	c.plans.Store(&next)
 }
 
 // Len returns the number of cached plans.
 func (c *PlanCache) Len() int {
-	if gen := c.gen.Load(); gen != nil {
-		return len(*gen)
+	if m := c.plans.Load(); m != nil {
+		return len(*m)
 	}
 	return 0
 }
 
-// Hits and Misses return the lifetime lookup counters.
-func (c *PlanCache) Hits() uint64   { return c.hits.Load() }
-func (c *PlanCache) Misses() uint64 { return c.misses.Load() }
+// Hits and Misses return the entry's lifetime lookup counters.
+func (c *PlanCache) Hits() uint64   { return c.counters.hits.Load() }
+func (c *PlanCache) Misses() uint64 { return c.counters.misses.Load() }
 
-// Flushes returns how many capacity sweeps the cache has run — the
+// Flushes returns how many capacity sweeps the entry's caches have run — the
 // observable behind the plan_cache_flushes_total metric.
-func (c *PlanCache) Flushes() uint64 { return c.flushes.Load() }
+func (c *PlanCache) Flushes() uint64 { return c.counters.flushes.Load() }
 
-// Reset drops every cached plan (the counters keep running). Appends call it
-// — cached vectors describe the previous dataset generation — and benchmarks
-// use it to measure the cache-cold path.
+// Reset drops every cached plan (the counters keep running). Benchmarks use
+// it to measure the cache-cold path.
 func (c *PlanCache) Reset() {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	c.gen.Store(nil)
+	c.plans.Store(nil)
 }

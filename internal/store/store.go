@@ -5,13 +5,15 @@
 // its item-count vector exactly once; every resolved request afterwards is
 // served from that cached read-only slice, so the hot path never rescans the
 // transactions. Appending a delta builds the next immutable data generation
-// from the previous one — count vector, presence bitset, min/max and zone
-// sketches are all delta-maintained by scanning only the new records — and
-// installs it with one atomic pointer swap, so readers always see a
-// consistent dataset and the zero-per-request-rescan property survives
-// streaming ingestion. This is the curator trust model of the paper: the
-// server holds the data and answers sensitivity-1 counting queries under DP,
-// instead of clients shipping precomputed answers with every request.
+// from the previous one — the transactions share every full storage block
+// and copy only the partial tail block, and the count vector, presence
+// bitset, min/max and zone sketches are all delta-maintained by scanning only
+// the new records — and installs it with one atomic pointer swap, so readers
+// always see a consistent dataset and the zero-per-request-rescan property
+// survives streaming ingestion. This is the curator trust model of the
+// paper: the server holds the data and answers sensitivity-1 counting
+// queries under DP, instead of clients shipping precomputed answers with
+// every request.
 package store
 
 import (
@@ -139,10 +141,9 @@ type Entry struct {
 	scans       atomic.Uint64 // count materialisations; cached resolutions and appends never add
 	skipped     atomic.Uint64 // records proven unmatching by zone sketches and never scanned
 
-	// plans caches compiled composite-query plans and their materialized
-	// count vectors, keyed by canonical spec (see the query planner). An
-	// append resets it: cached vectors describe the superseded generation.
-	plans PlanCache
+	// planCounters are the lifetime hit/miss/flush totals of every
+	// generation's plan cache.
+	planCounters planCounters
 }
 
 // entryGen is one immutable data generation of an entry: everything an
@@ -153,15 +154,22 @@ type entryGen struct {
 	counts []float64     // the arena's column; treated as read-only ever after
 	stats  dataset.Stats // maintained incrementally; Info would otherwise rescan for MeanLength
 	lenSum int           // total item slots across records, so MeanLength extends exactly
+	// plans caches compiled composite-query plans evaluated against exactly
+	// this generation, keyed by canonical spec (see the query planner). An
+	// append publishes a generation with an empty cache, so no vector ever
+	// outlives the data it was computed from.
+	plans *PlanCache
 }
 
 // View is one consistent snapshot of an entry's data generation. Code that
-// touches both the transactions and the arena (filter scans, explain) must
-// read them through a single View — two separate loads could straddle an
-// append and pair a new dataset with an old arena.
+// touches more than one of the transactions, the arena and the plan cache
+// (filter scans, explain, plan resolution) must read them through a single
+// View — two separate loads could straddle an append and pair a new dataset
+// with an old arena, or cache an old vector for the new generation.
 type View struct {
 	db    *dataset.Transactions
 	arena *Arena
+	plans *PlanCache
 }
 
 // Dataset returns the snapshot's transactions (read-only by contract).
@@ -169,6 +177,9 @@ func (v View) Dataset() *dataset.Transactions { return v.db }
 
 // Arena returns the snapshot's columnar count arena (read-only by contract).
 func (v View) Arena() *Arena { return v.arena }
+
+// Plans returns the snapshot generation's compiled-plan cache.
+func (v View) Plans() *PlanCache { return v.plans }
 
 // Info summarises an entry for the dataset API.
 type Info struct {
@@ -261,10 +272,11 @@ func (s *Store) Register(name, source string, db *dataset.Transactions) (*Entry,
 	// The registration transaction scan. Zone sketches ride the same pass
 	// budget: one extra O(records) walk; appends extend them incrementally.
 	arena := newArena(db.ItemCounts())
-	arena.zones = BuildZones(db, DefaultZoneBlock)
+	arena.zones = BuildZones(db)
 	e.gen.Store(&entryGen{
 		db: db, arena: arena, counts: arena.Counts(),
 		stats: db.Stats(), lenSum: db.TotalLength(),
+		plans: newPlanCache(&e.planCounters),
 	})
 
 	s.writeMu.Lock()
@@ -334,9 +346,9 @@ func (s *Store) validateAppend(g *entryGen, name string, delta [][]int32) (items
 
 // PendingAppend is one fully-built next data generation awaiting install:
 // the output of PrepareAppend, consumed by InstallAppend. Preparing does all
-// the delta-derived work — count deltas, sketch extension, zone extension —
-// without holding any store lock, so concurrent appends to different
-// datasets overlap their builds and only serialize on the (cheap) install.
+// the delta-derived work — tail block copy, count deltas, sketch and zone
+// extension — without holding any store lock, so concurrent appends to
+// different datasets overlap their builds and only serialize on the install.
 type PendingAppend struct {
 	entry *Entry
 	base  *entryGen
@@ -351,11 +363,15 @@ func (p *PendingAppend) Entry() *Entry { return p.entry }
 func (p *PendingAppend) Stale() bool { return p.entry.gen.Load() != p.base }
 
 // PrepareAppend validates delta against the catalog limits and builds the
-// next data generation of the dataset catalogued under name — record list,
-// count arena, presence bitset, min/max summaries and zone sketches, all
+// next data generation of the dataset catalogued under name — storage blocks
+// (the full ones shared, the partial tail copied), count arena, presence
+// bitset, min/max summaries, zone sketches and an empty plan cache, all
 // extended from the delta alone — without taking the store's write lock.
-// The caller publishes the result with InstallAppend; until then nothing is
-// visible to readers and a dropped PendingAppend costs nothing.
+// Its cost is O(delta + one block + number of blocks) for the records and
+// sketches plus O(items) for the dense count column. The caller publishes
+// the result with InstallAppend; until then nothing is visible to readers,
+// and a dropped PendingAppend costs nothing: the base generation is never
+// written, so several appends may be prepared against it.
 func (s *Store) PrepareAppend(name string, delta [][]int32) (*PendingAppend, error) {
 	e, err := s.Get(name)
 	if err != nil {
@@ -381,16 +397,19 @@ func (s *Store) PrepareAppend(name string, delta [][]int32) (*PendingAppend, err
 	return &PendingAppend{
 		entry: e,
 		base:  g,
-		next:  &entryGen{db: db, arena: arena, counts: arena.Counts(), stats: stats, lenSum: lenSum},
+		next: &entryGen{
+			db: db, arena: arena, counts: arena.Counts(), stats: stats, lenSum: lenSum,
+			plans: newPlanCache(&e.planCounters),
+		},
 	}, nil
 }
 
 // InstallAppend publishes a prepared append as the entry's current data
-// generation with one atomic swap, flushing the compiled-plan cache (its
-// vectors describe the superseded generation). It fails with ErrStaleAppend
-// when another append won the race since PrepareAppend — the caller
-// re-prepares against the new generation — and with ErrUnknownDataset when
-// the entry was removed in between.
+// generation with one atomic swap; the new generation brings its own empty
+// compiled-plan cache. It fails with ErrStaleAppend when another append won
+// the race since PrepareAppend — the caller re-prepares against the new
+// generation — and with ErrUnknownDataset when the entry was removed in
+// between.
 func (s *Store) InstallAppend(p *PendingAppend) (*Entry, error) {
 	e := p.entry
 	s.writeMu.Lock()
@@ -402,7 +421,6 @@ func (s *Store) InstallAppend(p *PendingAppend) (*Entry, error) {
 		return nil, fmt.Errorf("%w: %q", ErrStaleAppend, e.name)
 	}
 	e.gen.Store(p.next)
-	e.plans.Reset()
 	return e, nil
 }
 
@@ -410,9 +428,9 @@ func (s *Store) InstallAppend(p *PendingAppend) (*Entry, error) {
 // delta-maintaining every piece of derived state — count vector, presence
 // bitset, min/max summaries and zone sketches — and installing the result as
 // the entry's next data generation with one atomic swap. Only the delta is
-// ever scanned: the record list shares the previous generation's prefix, the
-// count column is the old column plus the delta's contributions, and the
-// zone sketches are extended block-monotonically. CountScans therefore does
+// ever scanned: the transactions share the previous generation's full
+// blocks, the count column is the old column plus the delta's contributions,
+// and the zone sketches are extended block-monotonically. CountScans therefore does
 // not move, which is what pins "append" as incremental rather than a
 // re-registration. An empty delta is a valid no-op append. Append is
 // PrepareAppend + InstallAppend in a retry loop; callers that must order an
@@ -481,12 +499,13 @@ func (s *Store) Close() error { return nil }
 func (e *Entry) Name() string { return e.name }
 
 // View returns one consistent snapshot of the entry's current data
-// generation. Callers that need both the transactions and the arena must take
-// a single View and use it throughout — separate Arena/Dataset calls could
-// observe different generations across an append.
+// generation. Callers that need more than one of the transactions, the arena
+// and the plan cache must take a single View and use it throughout —
+// separate Arena/Dataset/Plans calls could observe different generations
+// across an append.
 func (e *Entry) View() View {
 	g := e.gen.Load()
-	return View{db: g.db, arena: g.arena}
+	return View{db: g.db, arena: g.arena, plans: g.plans}
 }
 
 // Arena returns the current generation's columnar count arena (read-only by
@@ -512,7 +531,7 @@ func (e *Entry) Info() Info {
 		NonzeroItems: g.arena.NonzeroItems(),
 
 		SketchBlocks:     g.arena.Zones().NumBlocks(),
-		PlanCacheEntries: e.plans.Len(),
+		PlanCacheEntries: g.plans.Len(),
 		RecordsSkipped:   e.skipped.Load(),
 
 		Resolutions: e.resolutions.Load(),
@@ -574,8 +593,10 @@ func (e *Entry) RecordsSkipped() uint64 { return e.skipped.Load() }
 // NoteRecordsSkipped adds n sketch-skipped records to the entry's counter.
 func (e *Entry) NoteRecordsSkipped(n uint64) { e.skipped.Add(n) }
 
-// Plans returns the entry's compiled-plan cache.
-func (e *Entry) Plans() *PlanCache { return &e.plans }
+// Plans returns the current generation's compiled-plan cache; its hit, miss
+// and flush counters are the entry's lifetime totals. Use View when the
+// cached vectors must match the transactions or arena read alongside.
+func (e *Entry) Plans() *PlanCache { return e.gen.Load().plans }
 
 // GenerateSynthetic builds one of the calibrated synthetic stand-ins for the
 // paper's Section 7 datasets by kind: "bmspos", "kosarak" or "t40i10d100k"
