@@ -128,18 +128,24 @@
 // keys a compiled-plan cache owned by the dataset's current data generation,
 // so a repeated spec reuses its materialized count vector without touching
 // the transactions. Lookup, evaluation and fill go through one pinned
-// generation, and an append publishes a new generation with an empty cache,
-// so a cached vector never outlives its data; plans containing a join are
-// not cached. Cache misses evaluate vectorized passes in greedy
+// generation, which stamps each cached vector with its record count. An
+// append seeds the new generation's cache with the previous one's entries,
+// but a lookup hits only an entry stamped with the current record count, so
+// a carried vector is never served as an answer; instead, since datasets
+// only grow, a filter vector stamped with M records is copied into the grown
+// item universe and extended by scanning only the records after M (a
+// plan-cache miss that leaves count_scans unchanged). Plans containing a
+// join are not cached. Cache misses evaluate vectorized passes in greedy
 // cheapest-first order; filter scans walk the dataset's flat storage blocks
 // and skip whole blocks via the zone sketches (per-block length range + item
 // Bloom filter) built at registration and kept in the arena. Appending
 // ?explain=1 to a mechanism endpoint returns the compiled plan, uncharged.
 // Specs in the monotone fragment (all_items, item_count, filter, union,
-// intersect) keep the halved noise scale; threshold, minus and join are
-// served at the standard scale, and their threshold/mask decisions can flip
-// on a one-record change — the release is still budgeted correctly, but
-// interpret gaps near a boundary accordingly.
+// intersect) have sensitivity 1 and keep the halved noise scale. threshold,
+// minus and join are served at the standard scale for sensitivity 1, but one
+// record can move a threshold output by max(min_count, max_count) and a minus
+// or join output by an unbounded, data-dependent amount, so their releases
+// do not meet the ε they are charged (see ROADMAP.md's first open item).
 //
 // # Persistence
 //

@@ -257,25 +257,6 @@ func (t *Transactions) AppendRecords(delta [][]int32) *Transactions {
 	return next
 }
 
-// DeltaItemCounts returns, for each item id in a universe of the given size,
-// how many of the delta records contain it at least once — exactly the
-// increment ItemCounts gains from appending delta, computed by scanning only
-// the delta. Every item id must lie in [0, items).
-func DeltaItemCounts(delta [][]int32, items int) []float64 {
-	counts := make([]float64, items)
-	seen := make([]int, items)
-	for ri, r := range delta {
-		stamp := ri + 1
-		for _, it := range r {
-			if seen[it] != stamp {
-				seen[it] = stamp
-				counts[it]++
-			}
-		}
-	}
-	return counts
-}
-
 // TopKItems returns the indices of the k items with the largest true counts,
 // in descending count order. Ties are broken by smaller item id so the result
 // is deterministic. It is the ground truth against which precision, recall

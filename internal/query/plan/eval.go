@@ -3,10 +3,11 @@ package plan
 // Plan evaluation: vectorized passes over the columnar arenas. Every node
 // evaluates to a full-universe count vector for the entry it runs against
 // (group-by item); leaves read the arena's cached column, filters scan the
-// flat storage blocks under zone-sketch skipping, and composites fold their
-// operands elementwise in greedy (cheapest-first) order. Subtrees shared
-// between branches evaluate once — the memo keyed by (dataset, canon) turns
-// the tree into a DAG. Returned child vectors are never mutated: every
+// flat storage blocks under zone-sketch skipping — or, when the plan cache
+// holds the filter's vector from an earlier generation, only the records
+// appended since — and composites fold their operands elementwise in greedy
+// (cheapest-first) order. Subtrees shared between branches evaluate once —
+// the memo keyed by (dataset, canon) turns the tree into a DAG. Returned child vectors are never mutated: every
 // operator folds into its own freshly allocated output, so a leaf can hand
 // out the arena's shared column safely.
 
@@ -34,9 +35,12 @@ type Options struct {
 	// record. Results are identical either way — skipping only elides blocks
 	// proven unmatching.
 	NoSkip bool
-	// NoCache bypasses the compiled-plan cache (both lookup and fill). Plans
-	// containing a join bypass it regardless: their vectors depend on a
-	// second dataset's generation.
+	// NoCache bypasses the compiled-plan cache: lookup, fill, and the reuse
+	// of cached filter vectors that a filter scan extends by the records
+	// appended since. Plans containing a join are never looked up or filled
+	// regardless (their vectors depend on a second dataset's generation),
+	// though their filter nodes still extend cached filter vectors, which
+	// depend on one dataset alone.
 	NoCache bool
 	// Workers caps the per-scan worker fan-out of block-parallel filter
 	// scans: 0 means GOMAXPROCS, 1 forces serial scans. Results are
@@ -54,6 +58,9 @@ type Options struct {
 type Stats struct {
 	// FilterScans is the number of filter nodes that scanned records.
 	FilterScans int
+	// RecordsReused counts records whose contribution filter nodes took from
+	// a cached filter vector instead of scanning them.
+	RecordsReused int
 	// RecordsScanned counts records actually visited by filter scans.
 	RecordsScanned int
 	// RecordsSkipped counts records in blocks the zone sketches skipped.
@@ -84,7 +91,9 @@ type Result struct {
 }
 
 // Explain is the ?explain=1 payload: the compiled plan and what evaluating
-// it cost.
+// it cost. ReusedRecords counts the records covered by cached filter vectors
+// the plan extended instead of rescanning; RecordsScanned and RecordsSkipped
+// cover only the records after them.
 type Explain struct {
 	Dataset        string `json:"dataset"`
 	Canonical      string `json:"canonical"`
@@ -94,6 +103,7 @@ type Explain struct {
 	Answers        int    `json:"answers"`
 	SketchBlocks   int    `json:"sketch_blocks"`
 	RecordsTotal   int    `json:"records_total"`
+	ReusedRecords  int    `json:"reused_records"`
 	RecordsScanned int    `json:"records_scanned"`
 	RecordsSkipped int    `json:"records_skipped"`
 	BlocksSkipped  int    `json:"blocks_skipped"`
@@ -123,11 +133,14 @@ type NodeExplain struct {
 
 // Resolve compiles spec against e and materializes its count vector: a
 // cache hit returns the stored vector untouched (count_scans unchanged), a
-// miss evaluates the plan and fills the cache. Lookup, evaluation and fill
-// all use one View of e taken up front, so a vector is only ever cached for
-// the generation it was computed from. Plans containing a join are never
-// cached. cat serves cross-dataset joins and may be nil for join-free specs.
-// The spec must already have passed engine validation.
+// miss evaluates the plan and fills the cache. A miss whose filter nodes
+// find their vectors cached by an earlier generation extends them by the
+// records appended since (still a miss, but count_scans unchanged). Lookup,
+// evaluation and fill all use one View of e taken up front, so a vector is
+// only ever cached for the generation it was computed from. Plans
+// containing a join are never cached. cat serves cross-dataset joins and
+// may be nil for join-free specs. The spec must already have passed engine
+// validation.
 func Resolve(cat Catalog, e *store.Entry, spec *engine.QuerySpec, opts Options) (*Result, error) {
 	start := time.Now()
 	n := normalize(spec)
@@ -168,6 +181,7 @@ func Resolve(cat Catalog, e *store.Entry, spec *engine.QuerySpec, opts Options) 
 		Answers:         len(answers),
 		SketchBlocks:    v.Arena().Zones().NumBlocks(),
 		RecordsTotal:    v.Dataset().NumRecords(),
+		ReusedRecords:   ctx.stats.RecordsReused,
 		RecordsScanned:  ctx.stats.RecordsScanned,
 		RecordsSkipped:  ctx.stats.RecordsSkipped,
 		BlocksSkipped:   ctx.stats.BlocksSkipped,
@@ -399,12 +413,26 @@ func emptySupport(v []float64) bool {
 // never depends on the width actually won, only the wall-clock does.
 var scanTokens = make(chan struct{}, runtime.GOMAXPROCS(0))
 
+// blockRun is records [from, blk.Len()) of one storage block: a filter
+// scan's unit of work. Only a scan extending a cached vector starts a run
+// mid-block.
+type blockRun struct {
+	blk  *dataset.Block
+	from int
+}
+
+func (r blockRun) records() int { return r.blk.Len() - r.from }
+
 // filterScan counts, per item, the records matching the node's predicate —
-// the one algebra operation that touches the transactions. Storage blocks
-// the zone sketches prove unmatching are skipped wholesale (unless
-// Options.NoSkip); each scan bumps the entry's count_scans and
-// records_skipped observables. Surviving blocks are sharded across a
-// bounded worker fan-out when the remaining work clears
+// the one algebra operation that touches the transactions. When the plan
+// cache holds the node's vector from a generation of M records (a root
+// filter resolved before some appends), the first M records are already
+// counted in it: the scan copies it into a vector sized to the current
+// universe and visits only records [M, N), without bumping count_scans,
+// which counts full scans (unless Options.NoCache). Storage blocks the zone
+// sketches prove unmatching are skipped wholesale (unless Options.NoSkip),
+// feeding the entry's records_skipped observable. Surviving blocks are
+// sharded across a bounded worker fan-out when the remaining work clears
 // Options.MinParallelRecords; each worker scans a disjoint contiguous run of
 // blocks into its own partial vector and the partials merge in shard order.
 // Counts are whole numbers, so the merged vector is byte-identical to the
@@ -412,31 +440,51 @@ var scanTokens = make(chan struct{}, runtime.GOMAXPROCS(0))
 func (c *evalCtx) filterScan(e *store.Entry, n *node) []float64 {
 	v := c.view(e)
 	db := v.Dataset()
+	var pe *store.PlanEntry
+	if !c.opts.NoCache {
+		pe, _ = v.Plans().Reusable(n.canon)
+	}
+	if pe != nil && pe.Records() == db.NumRecords() {
+		c.stats.RecordsReused += pe.Records()
+		return pe.Answers // this generation's own vector
+	}
 	out := make([]float64, len(v.Arena().Counts()))
+	reused := 0
+	if pe != nil {
+		reused = pe.Records()
+		c.stats.RecordsReused += reused
+		copy(out, pe.Answers)
+	} else {
+		e.NoteCountScan()
+	}
 	c.stats.FilterScans++
-	e.NoteCountScan()
 
-	// Consult the sketches first: the surviving block list is what both the
+	// Consult the sketches first: the surviving runs are what both the
 	// serial and the parallel path scan. Registration and every append keep
-	// one sketch per storage block.
+	// one sketch per storage block, and a sketch that proves a whole block
+	// unmatching proves its tail run unmatching too.
 	zones := v.Arena().Zones()
-	var blocks []*dataset.Block
+	var runs []blockRun
 	surviving, skipped := 0, 0
-	for b := 0; b < db.NumBlocks(); b++ {
-		blk := db.Block(b)
+	first := reused / dataset.BlockRecords
+	for b := first; b < db.NumBlocks(); b++ {
+		run := blockRun{blk: db.Block(b)}
+		if b == first {
+			run.from = reused % dataset.BlockRecords
+		}
 		if !c.opts.NoSkip && zones.SkipBlock(b, n.contains, n.minLen, n.maxLen) {
 			c.stats.BlocksSkipped++
-			skipped += blk.Len()
+			skipped += run.records()
 			continue
 		}
-		blocks = append(blocks, blk)
-		surviving += blk.Len()
+		runs = append(runs, run)
+		surviving += run.records()
 	}
 	c.stats.RecordsSkipped += skipped
 	e.NoteRecordsSkipped(uint64(skipped))
 
-	if workers := c.scanWorkers(surviving, len(blocks)); workers > 1 {
-		if c.parallelScan(blocks, surviving, workers, n, out) {
+	if workers := c.scanWorkers(surviving, len(runs)); workers > 1 {
+		if c.parallelScan(runs, surviving, workers, n, out) {
 			return out
 		}
 	}
@@ -445,8 +493,8 @@ func (c *evalCtx) filterScan(e *store.Entry, n *node) []float64 {
 	if len(c.stamps) < len(out) {
 		c.stamps = make([]int32, len(out))
 	}
-	for _, blk := range blocks {
-		c.stamp = scanBlock(blk, n, c.stamps, c.stamp, out)
+	for _, run := range runs {
+		c.stamp = scanBlock(run, n, c.stamps, c.stamp, out)
 	}
 	return out
 }
@@ -482,12 +530,12 @@ func (c *evalCtx) noteWorkers(w int) {
 	}
 }
 
-// parallelScan shards blocks into up to workers contiguous chunks balanced
+// parallelScan shards runs into up to workers contiguous chunks balanced
 // by record count and scans them concurrently, each worker into a private
 // partial vector with private dedup stamps, then folds the partials into out
 // in shard order. Returns false when no process-wide scan token could be
 // claimed — the caller falls back to the serial loop.
-func (c *evalCtx) parallelScan(blocks []*dataset.Block, surviving, workers int, n *node, out []float64) bool {
+func (c *evalCtx) parallelScan(runs []blockRun, surviving, workers int, n *node, out []float64) bool {
 	// Claim tokens for the extra goroutines; the fan-out shrinks rather than
 	// waits when other scans hold the budget.
 	extra := 0
@@ -508,17 +556,17 @@ claim:
 	// Contiguous shards balanced by surviving records, never more than one
 	// shard short of the claimed width.
 	target := (surviving + workers - 1) / workers
-	shards := make([][]*dataset.Block, 0, workers)
+	shards := make([][]blockRun, 0, workers)
 	start, acc := 0, 0
-	for i, blk := range blocks {
-		acc += blk.Len()
+	for i, run := range runs {
+		acc += run.records()
 		if acc >= target && len(shards) < workers-1 {
-			shards = append(shards, blocks[start:i+1])
+			shards = append(shards, runs[start:i+1])
 			start, acc = i+1, 0
 		}
 	}
-	if start < len(blocks) {
-		shards = append(shards, blocks[start:])
+	if start < len(runs) {
+		shards = append(shards, runs[start:])
 	}
 	for extra > len(shards)-1 { // balancing produced fewer shards than tokens
 		<-scanTokens
@@ -542,9 +590,10 @@ claim:
 	parts[0].out, parts[0].scanned = scanShard(shards[0], n, len(out))
 	wg.Wait()
 
-	// Deterministic shard-order merge. The partials hold whole-number counts
-	// well below 2^53, so the folded sums are exact and byte-identical to the
-	// serial pass no matter how the balancing split the blocks.
+	// Deterministic shard-order merge into out (which may already hold a
+	// reused vector). The partials hold whole-number counts well below 2^53,
+	// so the folded sums are exact and byte-identical to the serial pass no
+	// matter how the balancing split the blocks.
 	for _, p := range parts {
 		c.stats.RecordsScanned += p.scanned
 		for it, x := range p.out {
@@ -557,29 +606,32 @@ claim:
 	return true
 }
 
-// scanShard scans one worker's run of blocks into a private vector with
+// scanShard scans one worker's runs of blocks into a private vector with
 // private dedup state.
-func scanShard(shard []*dataset.Block, n *node, universe int) ([]float64, int) {
+func scanShard(shard []blockRun, n *node, universe int) ([]float64, int) {
 	out := make([]float64, universe)
 	stamps := make([]int32, universe)
 	var stamp int32
 	scanned := 0
-	for _, blk := range shard {
-		scanned += blk.Len()
-		stamp = scanBlock(blk, n, stamps, stamp, out)
+	for _, run := range shard {
+		scanned += run.records()
+		stamp = scanBlock(run, n, stamps, stamp, out)
 	}
 	return out, scanned
 }
 
-// scanBlock scans one storage block's flat items, adding each matching
-// record once to the count of every distinct item it contains (the same
-// per-record dedup the registration count uses, via a stamp array). It
+// scanBlock scans one run of a storage block's flat items, adding each
+// matching record once to the count of every distinct item it contains (the
+// same per-record dedup the registration count uses, via a stamp array). It
 // returns the advanced stamp generation for the caller to carry into its
-// next block.
-func scanBlock(blk *dataset.Block, n *node, stamps []int32, stamp int32, out []float64) int32 {
-	items := blk.Items()
+// next run.
+func scanBlock(run blockRun, n *node, stamps []int32, stamp int32, out []float64) int32 {
+	items, ends := run.blk.Items(), run.blk.Ends()
 	var start uint32
-	for _, end := range blk.Ends() {
+	if run.from > 0 {
+		start = ends[run.from-1]
+	}
+	for _, end := range ends[run.from:] {
 		rec := items[start:end]
 		start = end
 		if len(rec) < n.minLen || (n.maxLen > 0 && len(rec) > n.maxLen) {

@@ -18,10 +18,16 @@
 //     semantically equal specs (union order, duplicate operands, empty
 //     ranges) normalize to one canonical string, which keys the compiled-plan
 //     cache of the dataset's current data generation — a repeated spec costs
-//     one lock-free map lookup, with the materialized vector reused verbatim
-//     (each generation is immutable and owns its cache, so cached vectors
-//     never go stale; join plans, which read a second dataset, are not
-//     cached).
+//     one lock-free map lookup, with the materialized vector reused verbatim.
+//     Each generation owns its cache and serves only vectors stamped with its
+//     own record count, so cached answers never go stale; join plans, which
+//     read a second dataset, are not cached.
+//
+//   - Delta extension: an append carries the cached vectors into the next
+//     generation under their old stamps. Datasets only grow, so a filter
+//     vector stamped with M records is exact for the first M records; a
+//     filter node (the root, or an operand whose spec was cached as a root)
+//     copies it into the grown universe and scans only the records after M.
 //
 //   - Data skipping: filter nodes consult the arena's zone sketches
 //     (per-block min/max record length + item bloom) and skip whole record

@@ -61,9 +61,11 @@ func (s *Server) serveBatch(w *traceWriter, r *http.Request) string {
 		return badRequest(w, fmt.Errorf("batch of %d requests exceeds the server limit of %d", len(req.Requests), s.cfg.MaxBatch))
 	}
 
-	// Stage 1: decode and validate every item. Any failure rejects the whole
-	// batch before a single ε is reserved, keeping the charge all-or-nothing
-	// across validation too.
+	// Stage 1: decode, resolve and validate every item. Any failure rejects
+	// the whole batch before a single ε is reserved, keeping the charge
+	// all-or-nothing across validation too. Each item's work is marked to
+	// its own trace stage; marks accumulate, so the batch's decode, resolve
+	// and validate stages are the sums over its items.
 	items := make([]batchItem, len(req.Requests))
 	charges := make([]accountant.Charge, len(req.Requests))
 	lim := s.limits()
@@ -103,22 +105,22 @@ func (s *Server) serveBatch(w *traceWriter, r *http.Request) string {
 		default:
 			return badRequest(w, fmt.Errorf("requests[%d]: tenant %q does not match the batch tenant %q", i, base.Tenant, req.Tenant))
 		}
+		w.mark(stageDecode)
 		// Resolve dataset-backed items before validation, like the single
 		// path does; a resolution failure rejects the whole batch with the
 		// item's structured code, keeping the charge all-or-nothing.
 		if err := engine.ResolveRequest(mreq, s.resolver()); err != nil {
 			return s.writeResolveError(w, fmt.Errorf("requests[%d]: %w", i, err))
 		}
+		w.mark(stageResolve)
 		if err := mech.Validate(mreq, lim); err != nil {
 			return badRequest(w, fmt.Errorf("requests[%d]: %v", i, err))
 		}
 		cost := mech.Cost(mreq)
 		items[i] = batchItem{mech: mech, req: mreq, cost: cost}
 		charges[i] = accountant.Charge{Label: mech.Name(), Epsilon: cost}
+		w.mark(stageValidate)
 	}
-	// Per-item decode/resolve/validate all happened in the loop above; the
-	// trace charges the whole loop to the validate stage.
-	w.mark(stageValidate)
 
 	// Stage 2: one atomic multi-charge, refused outright while the durable
 	// journal is dead (fail-closed). Charging under the mechanism labels

@@ -400,6 +400,71 @@ func BenchmarkDatasetAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkFilterAfterAppend measures a warm filter query on a dataset that
+// keeps taking appends, at 65,536 and at 1,048,576 records: each iteration
+// POSTs a 2-record delta and then a topk over a filter spec, both through
+// the handler. The plan cache carries the filter's vector across the
+// append, so the query scans only the 2 new records: the per-iteration cost
+// must stay flat in the dataset size, and count_scans must not move after
+// the warm-up query that scanned every record. The catalogue entry is
+// rebuilt (and warmed) off the clock every few thousand iterations to keep
+// the dataset from growing unboundedly across b.N.
+func BenchmarkFilterAfterAppend(b *testing.B) {
+	appendBody := []byte(`{"fimi":"7 11\n13\n"}`)
+	queryBody := []byte(`{"tenant":"bench","epsilon":0.1,"k":5,"dataset":"grow","queries":{"kind":"filter","where":{"contains":[7]}}}`)
+	for _, size := range []int{65_536, 1_048_576} {
+		b.Run(strconv.Itoa(size), func(b *testing.B) {
+			recs := make([][]int32, size)
+			for i := range recs {
+				recs[i] = []int32{int32(i % 97)}
+			}
+			db := dataset.New("grow", recs)
+			s := mustServer(b, Config{TenantBudget: benchBudget, Seed: 1, Workers: 1})
+			h := s.Handler()
+			post := func(path string, body []byte) {
+				req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, req)
+				if w.Code != http.StatusOK {
+					b.Fatalf("POST %s: status = %d, body = %s", path, w.Code, w.Body.String())
+				}
+			}
+			var entry *store.Entry
+			var scans uint64
+			checkScans := func() {
+				if got := entry.CountScans(); got != scans {
+					b.Fatalf("CountScans = %d after appends, want %d (a warm filter query rescanned the dataset)", got, scans)
+				}
+			}
+			register := func() {
+				s.Datasets().Remove("grow")
+				e, err := s.RegisterDataset("grow", "bench:filterappend", db)
+				if err != nil {
+					b.Fatal(err)
+				}
+				entry = e
+				post("/v1/topk", queryBody) // warm-up: the one full filter scan
+				scans = entry.CountScans()
+			}
+			register()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%4096 == 4095 {
+					b.StopTimer()
+					checkScans()
+					register()
+					b.StartTimer()
+				}
+				post("/v1/datasets/grow/append", appendBody)
+				post("/v1/topk", queryBody)
+			}
+			b.StopTimer()
+			checkScans()
+		})
+	}
+}
+
 // BenchmarkParallelAppendDistinctDatasets measures write-domain scaling:
 // client goroutines append concurrently, each to its own catalogued dataset.
 // Under the old global stream lock this was flat in GOMAXPROCS — every

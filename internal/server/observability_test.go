@@ -17,6 +17,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/freegap/freegap/internal/dataset"
 )
 
 func TestRequestIDEchoedOnSuccessAndError(t *testing.T) {
@@ -132,6 +134,34 @@ func TestTraceInlineBreakdown(t *testing.T) {
 	}
 	batch := decodeInto[BatchResponse](t, data2)
 	checkTrace(t, batch.Trace, resp2.Header.Get("X-Request-ID"))
+}
+
+// TestBatchTraceChargesItemStages traces a batch whose item resolves a cold
+// filter over a multi-block dataset. The item's record scan belongs to the
+// resolve stage, not validate, and the stages still partition the total.
+func TestBatchTraceChargesItemStages(t *testing.T) {
+	s, ts := newTestServer(t, Config{TenantBudget: 50})
+	recs := make([][]int32, 16*dataset.BlockRecords)
+	for i := range recs {
+		recs[i] = []int32{0, int32(1 + i%15)}
+	}
+	if _, err := s.RegisterDataset("blocks", "test", dataset.New("blocks", recs)); err != nil {
+		t.Fatal(err)
+	}
+	item := []byte(`{"epsilon":0.5,"k":2,"dataset":"blocks","queries":{"kind":"filter","where":{"contains":[0],"min_len":1}}}`)
+	resp, data := postJSON(t, ts.URL+"/v1/batch?trace=1", BatchRequest{
+		Tenant:   "acme",
+		Requests: []BatchItem{{Mechanism: "topk", Request: item}},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status = %d, body = %s", resp.StatusCode, data)
+	}
+	batch := decodeInto[BatchResponse](t, data)
+	checkTrace(t, batch.Trace, resp.Header.Get("X-Request-ID"))
+	resolve, validate := batch.Trace.Stages[stageResolve].Micros, batch.Trace.Stages[stageValidate].Micros
+	if resolve <= validate {
+		t.Errorf("resolve stage %vµs <= validate stage %vµs: the item's filter scan was charged to the wrong stage", resolve, validate)
+	}
 }
 
 func TestAccessLogRecords(t *testing.T) {

@@ -161,7 +161,7 @@ func TestExtendZonesMatchesFromScratchBuild(t *testing.T) {
 }
 
 func TestPlanCacheSecondChanceSweep(t *testing.T) {
-	c := newPlanCache(new(planCounters))
+	c := newPlanCache(new(planCounters), 0)
 	for i := 0; i < DefaultMaxPlans; i++ {
 		c.Put(fmt.Sprintf("k%d", i), &PlanEntry{})
 	}
@@ -192,7 +192,7 @@ func TestPlanCacheSecondChanceSweep(t *testing.T) {
 
 	// The protected set is capped: a sweep with everything hot must not keep
 	// the whole generation (that would just defer the same wholesale flush).
-	full := newPlanCache(new(planCounters))
+	full := newPlanCache(new(planCounters), 0)
 	for i := 0; i < DefaultMaxPlans; i++ {
 		key := fmt.Sprintf("k%d", i)
 		full.Put(key, &PlanEntry{})

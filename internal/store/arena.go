@@ -9,6 +9,8 @@ package store
 // scan builds the arena — the dataset's one full count scan — and every
 // append extends it from the delta alone.
 
+import "slices"
+
 // Arena is one dataset's columnar count storage plus its sketches,
 // read-only by contract.
 type Arena struct {
@@ -41,18 +43,23 @@ func newArena(counts []float64) *Arena {
 	return a
 }
 
-// extendArena builds the arena of an appended dataset generation: the old
-// counts column plus the delta contributions, with the presence bitset and
-// min/max/nonzero sketches rebuilt in one O(items) vector pass. The
-// transactions are never rescanned — deltaCounts (sized to the new item
-// universe) carries everything the append changed. The caller attaches the
-// extended zone sketches.
-func extendArena(old *Arena, deltaCounts []float64) *Arena {
-	counts := make([]float64, len(deltaCounts))
+// extendArena builds the arena of an appended dataset generation over an
+// item universe of items: a copy of the old counts column with every delta
+// record folded in (one per distinct item it holds), and the presence bitset
+// and min/max/nonzero sketches rebuilt in one O(items) vector pass. The
+// transactions are never rescanned. Every delta item id must lie in
+// [0, items). The caller attaches the extended zone sketches.
+func extendArena(old *Arena, delta [][]int32, items int) *Arena {
+	counts := make([]float64, items)
 	copy(counts, old.counts)
-	for i, d := range deltaCounts {
-		if d != 0 {
-			counts[i] += d
+	var rec []int32 // one sorted copy of the record at a time, for dedup
+	for _, r := range delta {
+		rec = append(rec[:0], r...)
+		slices.Sort(rec)
+		for i, it := range rec {
+			if i == 0 || it != rec[i-1] {
+				counts[it]++
+			}
 		}
 	}
 	return newArena(counts)

@@ -3,17 +3,25 @@ package store
 // Compiled-plan caches. Canonicalized query specs hash to a materialized
 // count vector (plus the plan's explain payload), so a repeated composite
 // query costs one lock-free map lookup instead of a record scan. Each data
-// generation of an entry owns its own cache: a vector is looked up and
-// stored only through the View it was evaluated against, so a resolution
-// that loses a race with an append fills the superseded generation's cache,
-// which nothing reads again, and a stale vector is never served. The
+// generation of an entry owns its own cache, and Put stamps every entry with
+// the record count of that generation. An append seeds the next
+// generation's cache with its base's published map (a pointer share, never
+// a copy), so entries are carried across appends; Get serves only entries
+// stamped with the cache's own record count, while Reusable hands a carried
+// entry to the planner, which extends a filter vector by the records
+// appended since its stamp instead of rescanning the dataset. Because
+// datasets only grow by appends, an entry stamped with M records is exact
+// for the first M records of every later generation. A vector is stamped
+// and stored only through the View it was evaluated against, so a
+// resolution that loses a race with an append fills the superseded
+// generation's cache, which the new generation no longer shares. The
 // hit/miss/flush counters are the entry's lifetime totals, shared by all of
 // its generations' caches.
 //
 // Reads follow the same RCU discipline as the catalog itself: Get loads the
 // current immutable map through an atomic pointer and walks it without any
 // lock, writers copy-and-swap under a mutex. A published map is never
-// mutated in place.
+// mutated in place, which is what lets two generations share one.
 
 import (
 	"sync"
@@ -44,9 +52,22 @@ type PlanEntry struct {
 	// Explain is the planner's explain payload for the compiled plan.
 	Explain any
 
-	// hot is set by Get on a hit and cleared by the second-chance sweep —
-	// the one bit of bookkeeping that lets eviction keep the working set.
+	// records is the record count of the generation Answers was evaluated
+	// against, stamped by Put.
+	records int
+	// hot is set on a hit or a reuse and cleared by the second-chance sweep
+	// — the one bit of bookkeeping that lets eviction keep the working set.
 	hot atomic.Bool
+}
+
+// Records returns the record count of the data generation the entry was
+// evaluated against: Answers covers exactly the first Records records.
+func (pe *PlanEntry) Records() int { return pe.records }
+
+func (pe *PlanEntry) markHot() {
+	if !pe.hot.Load() {
+		pe.hot.Store(true)
+	}
 }
 
 // planMap is one immutable snapshot of a cache's key → plan mapping.
@@ -68,35 +89,68 @@ type PlanCache struct {
 	plans atomic.Pointer[planMap]
 	// counters are shared with every other generation of the same entry.
 	counters *planCounters
+	// records is the record count of the cache's data generation.
+	records int
 }
 
-func newPlanCache(counters *planCounters) *PlanCache {
-	return &PlanCache{counters: counters}
+func newPlanCache(counters *planCounters, records int) *PlanCache {
+	return &PlanCache{counters: counters, records: records}
 }
 
-// Get returns the cached plan for key, counting the lookup as a hit or a
-// miss. It takes no lock. A hit marks the entry as recently used, so the
-// next capacity sweep keeps it.
-func (c *PlanCache) Get(key string) (*PlanEntry, bool) {
+// carry returns the cache of the next data generation, which holds records
+// records, seeded with every entry c holds now. The published map is shared,
+// not copied: neither cache ever mutates it, and each one's next Put swaps in
+// a map of its own.
+func (c *PlanCache) carry(records int) *PlanCache {
+	next := newPlanCache(c.counters, records)
+	next.plans.Store(c.plans.Load())
+	return next
+}
+
+func (c *PlanCache) lookup(key string) (*PlanEntry, bool) {
 	if m := c.plans.Load(); m != nil {
-		if pe, ok := (*m)[key]; ok {
-			c.counters.hits.Add(1)
-			if !pe.hot.Load() {
-				pe.hot.Store(true)
-			}
-			return pe, true
-		}
+		pe, ok := (*m)[key]
+		return pe, ok
+	}
+	return nil, false
+}
+
+// Get returns the plan cached under key for exactly this generation,
+// counting the lookup as a hit or a miss. An entry carried from an earlier
+// generation is a miss. It takes no lock. A hit marks the entry as recently
+// used, so the next capacity sweep keeps it.
+func (c *PlanCache) Get(key string) (*PlanEntry, bool) {
+	if pe, ok := c.lookup(key); ok && pe.records == c.records {
+		c.counters.hits.Add(1)
+		pe.markHot()
+		return pe, true
 	}
 	c.counters.misses.Add(1)
 	return nil, false
 }
 
-// Put caches pe under key. A full cache runs a second-chance sweep first:
-// plans that served a hit since the last sweep survive, capped at
-// maxProtectedPlans, and their hot bits reset so survival must be re-earned.
-// Concurrent puts of the same key are idempotent — both vectors describe
-// this cache's data generation, and the later put wins.
+// Reusable returns the plan cached under key whichever generation stamped
+// it: this one, or an earlier one whose Records is smaller. Its vector is
+// exact for the first Records records, so a caller that knows how to extend
+// it by the later records need not rescan the earlier ones. It moves no
+// hit/miss counter, but marks the entry as recently used.
+func (c *PlanCache) Reusable(key string) (*PlanEntry, bool) {
+	pe, ok := c.lookup(key)
+	if ok {
+		pe.markHot()
+	}
+	return pe, ok
+}
+
+// Put stamps pe with this generation's record count and caches it under
+// key, replacing any entry carried from an earlier generation. A full cache
+// runs a second-chance sweep first: plans that served a hit or a reuse since
+// the last sweep survive, capped at maxProtectedPlans, and their hot bits
+// reset so survival must be re-earned. Concurrent puts of the same key are
+// idempotent — both vectors describe this cache's data generation, and the
+// later put wins.
 func (c *PlanCache) Put(key string, pe *PlanEntry) {
+	pe.records = c.records
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	var cur planMap
@@ -127,7 +181,7 @@ func (c *PlanCache) Put(key string, pe *PlanEntry) {
 	c.plans.Store(&next)
 }
 
-// Len returns the number of cached plans.
+// Len returns the number of cached plans, carried ones included.
 func (c *PlanCache) Len() int {
 	if m := c.plans.Load(); m != nil {
 		return len(*m)

@@ -154,10 +154,12 @@ type entryGen struct {
 	counts []float64     // the arena's column; treated as read-only ever after
 	stats  dataset.Stats // maintained incrementally; Info would otherwise rescan for MeanLength
 	lenSum int           // total item slots across records, so MeanLength extends exactly
-	// plans caches compiled composite-query plans evaluated against exactly
-	// this generation, keyed by canonical spec (see the query planner). An
-	// append publishes a generation with an empty cache, so no vector ever
-	// outlives the data it was computed from.
+	// plans caches compiled composite-query plans keyed by canonical spec
+	// (see the query planner). Entries Put through this generation are
+	// stamped with its record count and served by Get; entries carried from
+	// earlier generations keep their smaller stamps, so Get never serves
+	// them, and the planner only extends their filter vectors by the
+	// records appended since.
 	plans *PlanCache
 }
 
@@ -203,7 +205,8 @@ type Info struct {
 	// SketchBlocks is the number of zone-sketch blocks built for data
 	// skipping (0 for a dataset with no records).
 	SketchBlocks int `json:"sketch_blocks"`
-	// PlanCacheEntries is the number of cached compiled query plans.
+	// PlanCacheEntries is the number of cached compiled query plans,
+	// including those carried from earlier generations.
 	PlanCacheEntries int `json:"plan_cache_entries"`
 	// RecordsSkipped counts records that zone sketches proved unmatching,
 	// letting filter scans skip their blocks entirely.
@@ -211,8 +214,9 @@ type Info struct {
 	// Resolutions counts query resolutions served from the cached counts.
 	Resolutions uint64 `json:"resolutions"`
 	// CountScans counts count-vector materialisations: the registration scan
-	// plus one per composite filter query that had to scan records on a
-	// plan-cache miss. It stays at 1 however many requests resolve from the
+	// plus one per filter node that had to scan every record on a plan-cache
+	// miss. Extending a carried filter vector by the records appended since
+	// does not count. It stays at 1 however many requests resolve from the
 	// cached counts or the plan cache.
 	CountScans uint64 `json:"count_scans"`
 	// CreatedAt is the registration time.
@@ -276,7 +280,7 @@ func (s *Store) Register(name, source string, db *dataset.Transactions) (*Entry,
 	e.gen.Store(&entryGen{
 		db: db, arena: arena, counts: arena.Counts(),
 		stats: db.Stats(), lenSum: db.TotalLength(),
-		plans: newPlanCache(&e.planCounters),
+		plans: newPlanCache(&e.planCounters, db.NumRecords()),
 	})
 
 	s.writeMu.Lock()
@@ -365,8 +369,12 @@ func (p *PendingAppend) Stale() bool { return p.entry.gen.Load() != p.base }
 // PrepareAppend validates delta against the catalog limits and builds the
 // next data generation of the dataset catalogued under name — storage blocks
 // (the full ones shared, the partial tail copied), count arena, presence
-// bitset, min/max summaries, zone sketches and an empty plan cache, all
-// extended from the delta alone — without taking the store's write lock.
+// bitset, min/max summaries and zone sketches, all extended from the delta
+// alone, and a plan cache seeded with the base generation's cached plans by
+// sharing its published map — without taking the store's write lock. The
+// carried plans keep the base's record-count stamp, so the new generation
+// serves none of them as hits; the planner extends their filter vectors by
+// the delta instead.
 // Its cost is O(delta + one block + number of blocks) for the records and
 // sketches plus O(items) for the dense count column. The caller publishes
 // the result with InstallAppend; until then nothing is visible to readers,
@@ -383,7 +391,7 @@ func (s *Store) PrepareAppend(name string, delta [][]int32) (*PendingAppend, err
 		return nil, err
 	}
 	db := g.db.AppendRecords(delta)
-	arena := extendArena(g.arena, dataset.DeltaItemCounts(delta, items))
+	arena := extendArena(g.arena, delta, items)
 	arena.zones = ExtendZones(g.arena.Zones(), db, g.db.NumRecords())
 	lenSum := g.lenSum
 	for _, r := range delta {
@@ -399,14 +407,15 @@ func (s *Store) PrepareAppend(name string, delta [][]int32) (*PendingAppend, err
 		base:  g,
 		next: &entryGen{
 			db: db, arena: arena, counts: arena.Counts(), stats: stats, lenSum: lenSum,
-			plans: newPlanCache(&e.planCounters),
+			plans: g.plans.carry(db.NumRecords()),
 		},
 	}, nil
 }
 
 // InstallAppend publishes a prepared append as the entry's current data
-// generation with one atomic swap; the new generation brings its own empty
-// compiled-plan cache. It fails with ErrStaleAppend when another append won
+// generation with one atomic swap; the new generation brings its own
+// compiled-plan cache, holding the plans carried from its base under their
+// base stamps. It fails with ErrStaleAppend when another append won
 // the race since PrepareAppend — the caller re-prepares against the new
 // generation — and with ErrUnknownDataset when the entry was removed in
 // between.
@@ -576,14 +585,14 @@ func (e *Entry) Resolutions() uint64 { return e.resolutions.Load() }
 // ResolveItems.
 func (e *Entry) NoteResolution() { e.resolutions.Add(1) }
 
-// CountScans returns how many times the entry materialised counts from its
-// records: the registration scan plus one per plan-cache-missing composite
-// filter query. Plan-cache hits never add, so the counter pins the cache's
-// effectiveness.
+// CountScans returns how many times the entry materialised counts from all
+// of its records: the registration scan plus one per full filter scan on a
+// plan-cache miss. Plan-cache hits and extensions of carried filter vectors
+// never add, so the counter pins the cache's effectiveness.
 func (e *Entry) CountScans() uint64 { return e.scans.Load() }
 
-// NoteCountScan counts one record-scanning count materialisation (a
-// composite filter evaluated on a plan-cache miss).
+// NoteCountScan counts one full record-scanning count materialisation (a
+// filter evaluated on a plan-cache miss with no carried vector to extend).
 func (e *Entry) NoteCountScan() { e.scans.Add(1) }
 
 // RecordsSkipped returns how many records the zone sketches let filter
