@@ -34,16 +34,14 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("dpbench", flag.ContinueOnError)
 	var (
-		experimentsFlag = fs.String("experiments", "all", "comma-separated experiment ids: datasets, fig1a, fig1b, fig2a, fig2b, fig3counts, fig3quality, fig4, corollary1, svtratio, ties, lemma5, audit, alignment, servebench, planbench, or 'all'")
-		trials          = fs.Int("trials", 0, "Monte-Carlo trials per plotted point (0 = default); for servebench and planbench, the total request count per scenario")
+		experimentsFlag = fs.String("experiments", "all", "comma-separated experiment ids: datasets, fig1a, fig1b, fig2a, fig2b, fig3counts, fig3quality, fig4, corollary1, svtratio, ties, lemma5, audit, alignment, or 'all'")
+		trials          = fs.Int("trials", 0, "Monte-Carlo trials per plotted point (0 = default)")
 		scale           = fs.Int("scale", 0, "dataset scale-down factor (0 = default, 1 = full paper scale)")
 		eps             = fs.Float64("eps", 0, "total privacy budget for the k sweeps (0 = paper's 0.7)")
 		seed            = fs.Uint64("seed", 1, "random seed")
 		format          = fs.String("format", "table", "output format: table or csv")
 		paper           = fs.Bool("paper", false, "use the paper's full-scale configuration (overrides -trials/-scale)")
 		compensate      = fs.Bool("compensate-scale", true, "rescale epsilon by the dataset scale factor so scaled-down runs keep the paper's noise-to-count ratio")
-		parallel        = fs.Int("parallel", 0, "servebench: concurrent client goroutines (0 = GOMAXPROCS)")
-		tenants         = fs.Int("tenants", 0, "servebench: distinct tenant budgets the clients spread over (0 = 64)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -139,26 +137,7 @@ func run(args []string) error {
 			fmt.Println()
 			return nil
 		},
-		"servebench": func() error {
-			return runServeBench(serveBenchConfig{
-				Parallel: *parallel,
-				Tenants:  *tenants,
-				Requests: *trials,
-				Seed:     *seed,
-				CSV:      *format == "csv",
-			})
-		},
-		"planbench": func() error {
-			return runPlanBench(planBenchConfig{
-				Requests: *trials,
-				Seed:     *seed,
-				CSV:      *format == "csv",
-			})
-		},
 	}
-	// servebench and planbench are deliberately not part of 'all': they are
-	// serving-layer benchmarks, not paper experiments, and their numbers are
-	// only meaningful on an otherwise idle machine.
 	order := []string{"datasets", "fig1a", "fig1b", "fig2a", "fig2b", "fig3counts", "fig3quality", "fig4",
 		"corollary1", "svtratio", "ties", "lemma5", "audit", "alignment"}
 
@@ -173,7 +152,7 @@ func run(args []string) error {
 		}
 		runner, ok := runners[name]
 		if !ok {
-			return fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(append(order, "servebench", "planbench"), ", "))
+			return fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(order, ", "))
 		}
 		if err := runner(); err != nil {
 			return fmt.Errorf("experiment %s: %w", name, err)

@@ -98,8 +98,10 @@
 //	 "dataset": "shop", "queries": {"kind": "all_items"}}
 //
 // QueryAllItems asks for every item's count — the paper's Section 7
-// workload — and QueryItemCount for an explicit item list; resolved counting
-// queries are automatically monotonic and get the halved noise scale.
+// workload — and QueryItemCount for an explicit item list. The server
+// decides whether resolved queries are monotone (a request's Monotonic flag
+// is ignored for dataset-backed answers); counting queries are, and get the
+// halved noise scale.
 // Datasets enter the catalog through POST /v1/datasets (a FIMI-format upload
 // or a synthetic generator spec), ServerConfig.Preload, or cmd/dpserver's
 // -preload/-preload-synthetic flags. Registration precomputes the dataset's
@@ -189,23 +191,18 @@
 //
 // # Concurrency
 //
-// The serving hot path is built to scale with cores: no per-request global
-// locks, no per-request buffer allocations, no scalar noise loops.
-//
-// Budget admission is lock-free — each accountant keeps its spent total in
-// an atomic word and admits a charge with a compare-and-swap loop against
-// the budget; only admitted charges take the commit lock that orders the
-// audit log, the incrementally-maintained per-mechanism aggregation and the
-// durability journal (journalled iff committed, exactly as before). The
-// tenant registry is sharded by tenant-id hash into a power-of-two number
-// of lock domains (≈GOMAXPROCS), with a strict atomic reservation backing
-// the provisioning cap. Telemetry counters and gauges stripe their value
-// over cache-line-padded cells summed at scrape time, leaving the
-// Prometheus text output byte-identical. The dataset catalog publishes an
-// immutable map through an atomic pointer (copy-and-swap on registration),
-// so dataset-backed requests resolve without taking any lock; appends swap
-// a new per-dataset generation through the same RCU discipline, so a
-// resolved view stays internally consistent for as long as it is held.
+// The serving hot path allocates no per-request buffers and runs no scalar
+// noise loops. Shared state takes the simplest synchronisation: each
+// tenant's accountant guards its spent total, audit log, per-mechanism
+// aggregation and durability journal with one mutex, so a charge is
+// journalled iff it is admitted and every budget view agrees; the tenant
+// registry is one RWMutex over one map, with the provisioning cap checked
+// under the write lock; telemetry counters and gauges are single atomic
+// words. The dataset catalog publishes an immutable map through an atomic
+// pointer (copy-and-swap on registration), so dataset-backed requests
+// resolve without taking any lock; appends swap a new per-dataset
+// generation through the same RCU discipline, so a resolved view stays
+// internally consistent for as long as it is held.
 //
 // Mechanism executions draw request-scoped working memory — noise and score
 // buffers plus the responses' variable-length arrays — from a pooled
@@ -215,13 +212,12 @@
 // Mechanism.Execute remains correct, just unpooled. A response built from a
 // scratch aliases its buffers: encode it before reusing the scratch.
 //
-// The memory path is flattened the same way the lock path was split. Each
-// dataset's transactions are stored in immutable blocks of 2,048 records,
-// every block one flat item array plus end offsets, and data generations
-// share every full block, so an append copies only the partial tail block
-// and the block-pointer list. Each catalogued dataset's derived state —
-// item counts, presence bitset, and
-// min/max/nonzero sketches — lives in one flat columnar arena on the heap,
+// The memory path is flat as well. Each dataset's transactions are stored
+// in immutable blocks of 2,048 records, every block one flat item array
+// plus end offsets, and data generations share every full block, so an
+// append copies only the partial tail block and the block-pointer list.
+// Each catalogued dataset's derived state — item counts, presence bitset,
+// and min/max/nonzero sketches — lives in one flat columnar arena on the heap,
 // materialised exactly once at registration (or by the one recount a
 // restart replays) and delta-extended (never rebuilt) when records are
 // appended. Request decode and response encode run through hand-rolled
@@ -250,14 +246,14 @@
 // before the domain lock is taken, so appends to different datasets
 // proceed fully in parallel (see Streaming).
 //
-// The invariants the lock-splitting must preserve — Σ admitted charges ==
-// spent, spent never above budget + tolerance, a journal history that
-// holds exactly the admitted charges, and per-dataset append/verdict order
-// with byte-identical crash recovery — are pinned by -race stress tests
+// The concurrency invariants — Σ admitted charges == spent, spent never
+// above budget + tolerance, a journal history that holds exactly the
+// admitted charges, and per-dataset append/verdict order with
+// byte-identical crash recovery — are pinned by -race stress tests
 // (internal/server/stress_test.go and
 // internal/server/parallel_stress_test.go), and
 // BenchmarkServerParallelManyTenants (64 tenants × parallel clients)
-// quantifies the multi-core win.
+// measures the contended serving path.
 //
 // # Streaming
 //
@@ -298,11 +294,10 @@
 // with nothing unattributed — append ?trace=1 to any mechanism or batch
 // request for the inline breakdown, whose stage durations sum exactly to
 // the reported total. /metrics exposes per-mechanism and per-stage latency
-// histograms (striped over cache-line-padded cells like the counters, so an
-// observation is a few atomic adds with no lock or allocation), durability
-// health (fsync and compaction latency, WAL queue depth and generation),
-// per-tenant remaining-ε gauges sampled at scrape time, admission CAS-retry
-// totals, and build/uptime info. ServerConfig.AccessLog emits one log/slog
+// histograms (an observation is three atomic adds with no lock or
+// allocation), durability health (fsync and compaction latency, WAL queue
+// depth and generation), per-tenant remaining-ε gauges sampled at scrape
+// time, and build/uptime info. ServerConfig.AccessLog emits one log/slog
 // JSON record per request; requests slower than
 // ServerConfig.SlowRequestThreshold are logged even without it. See
 // cmd/dpserver's -access-log, -slow-ms and -debug flags (the latter gates

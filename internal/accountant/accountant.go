@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 )
 
 // ErrBudgetExceeded is returned by Spend when a charge would push total
@@ -69,32 +68,18 @@ func (e *BudgetError) Remaining() float64 {
 // exactly to the budget (e.g. ε₀ + Σεᵢ = ε in Algorithm 2).
 const tolerance = 1e-9
 
-// Accountant is a thread-safe sequential-composition budget tracker.
-//
-// Admission is lock-free: spent lives in an atomic word (float bits) and a
-// charge is admitted by a compare-and-swap loop against the budget, so
-// concurrent spenders of one tenant never serialize on a mutex just to learn
-// there is room. Only admitted charges take the commit lock, which guards the
-// audit log, the per-label aggregation and the journal hook — so the journal
-// still fires iff the charge committed, in commit-lock order, and a rejected
-// charge costs no lock acquisition at all.
+// Accountant is a thread-safe sequential-composition budget tracker. One
+// mutex guards the spent total, the audit log, the per-label aggregation and
+// the journal call, so admission and commit are one step: the journal fires
+// iff the charge is admitted, in admission order, and Spent, Charges and
+// SpentByLabel always agree.
 type Accountant struct {
 	// budget is immutable after construction and read without synchronization.
 	budget float64
-	// spentBits holds math.Float64bits of the total ε charged so far. Spends
-	// only ever move it up (via CAS); Restore and Reset store it directly and
-	// are documented to happen-before any concurrent Spend.
-	spentBits atomic.Uint64
-	// casRetries counts admission CAS loop iterations that lost the race and
-	// had to retry — the direct observable of same-tenant admission
-	// contention. It only moves on contended spends, so the uncontended hot
-	// path never touches it.
-	casRetries atomic.Uint64
 
-	// commitMu guards everything below. It is taken only on admitted charges
-	// (and by readers of the log/aggregation), never on the admission path.
-	commitMu sync.Mutex
-	log      []Charge
+	mu    sync.Mutex
+	spent float64
+	log   []Charge
 	// byLabel is the per-label spend aggregation, maintained incrementally on
 	// every commit so budget polls never rescan the log.
 	byLabel map[string]float64
@@ -103,10 +88,10 @@ type Accountant struct {
 	// log by label but preserves the admitted-charge count).
 	restored int
 	// journal, when set, observes every admitted charge batch. It is called
-	// with the commit lock held, immediately after the batch commits, so
-	// journal order equals commit order and an entry is journalled iff the
-	// charge was admitted. The callback must be fast and must not call back
-	// into the accountant.
+	// with mu held, immediately after the batch commits, so journal order
+	// equals commit order and an entry is journalled iff the charge was
+	// admitted. The callback must be fast and must not call back into the
+	// accountant.
 	journal func(charges []Charge)
 }
 
@@ -134,20 +119,19 @@ func MustNew(budget float64) *Accountant {
 	return a
 }
 
-// loadSpent returns the current spent total from the atomic word.
-func (a *Accountant) loadSpent() float64 {
-	return math.Float64frombits(a.spentBits.Load())
-}
-
 // Budget returns the configured total budget.
 func (a *Accountant) Budget() float64 { return a.budget }
 
 // Spent returns the total ε charged so far.
-func (a *Accountant) Spent() float64 { return a.loadSpent() }
+func (a *Accountant) Spent() float64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.spent
+}
 
 // Remaining returns the unspent budget (never negative).
 func (a *Accountant) Remaining() float64 {
-	r := a.budget - a.loadSpent()
+	r := a.budget - a.Spent()
 	if r < 0 {
 		return 0
 	}
@@ -165,7 +149,7 @@ func (a *Accountant) CanSpend(eps float64) bool {
 	if !(eps > 0) {
 		return false
 	}
-	return a.loadSpent()+eps <= a.budget+tolerance
+	return a.Spent()+eps <= a.budget+tolerance
 }
 
 // Spend charges eps against the budget under the given label. It returns
@@ -182,13 +166,6 @@ func (a *Accountant) Spend(label string, eps float64) error {
 // behind batched serving — a batch reserved in one SpendBatch can never
 // overspend what the same requests charged serially could, and concurrent
 // batches race for the budget as single indivisible units.
-//
-// Admission is a CAS on the spent word: concurrent batches race for the
-// budget without a lock, and exactly the winners whose sum still fits are
-// admitted. The audit log and journal are updated under the commit lock
-// afterwards, so a reader polling Spent may observe an admitted charge a
-// moment before Charges/SpentByLabel reflect it; the two views always agree
-// once in-flight commits drain.
 func (a *Accountant) SpendBatch(charges []Charge) error {
 	if len(charges) == 0 {
 		return fmt.Errorf("%w: empty batch", ErrInvalidCharge)
@@ -203,18 +180,12 @@ func (a *Accountant) SpendBatch(charges []Charge) error {
 	if math.IsInf(sum, 0) || math.IsNaN(sum) {
 		return fmt.Errorf("%w: batch total %v", ErrInvalidCharge, sum)
 	}
-	for {
-		curBits := a.spentBits.Load()
-		cur := math.Float64frombits(curBits)
-		if cur+sum > a.budget+tolerance {
-			return &BudgetError{Spent: cur, Requested: sum, Budget: a.budget, Batch: len(charges) > 1}
-		}
-		if a.spentBits.CompareAndSwap(curBits, math.Float64bits(cur+sum)) {
-			break
-		}
-		a.casRetries.Add(1)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.spent+sum > a.budget+tolerance {
+		return &BudgetError{Spent: a.spent, Requested: sum, Budget: a.budget, Batch: len(charges) > 1}
 	}
-	a.commitMu.Lock()
+	a.spent += sum
 	a.log = append(a.log, charges...)
 	for _, c := range charges {
 		a.byLabel[c.Label] += c.Epsilon
@@ -222,18 +193,17 @@ func (a *Accountant) SpendBatch(charges []Charge) error {
 	if a.journal != nil {
 		a.journal(charges)
 	}
-	a.commitMu.Unlock()
 	return nil
 }
 
 // SetJournal installs fn as the accountant's charge journal: it is invoked
-// with every admitted charge batch, under the commit lock, right after the
-// batch commits. Persistence layers use it to write a WAL entry iff the
+// with every admitted charge batch, under the accountant's lock, right after
+// the batch commits. Persistence layers use it to write a WAL entry iff the
 // charge committed. Install the journal before the accountant is shared
 // between goroutines; passing nil removes it.
 func (a *Accountant) SetJournal(fn func(charges []Charge)) {
-	a.commitMu.Lock()
-	defer a.commitMu.Unlock()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	a.journal = fn
 }
 
@@ -262,9 +232,9 @@ func (a *Accountant) Restore(charges []Charge, chargeCount int) error {
 	if chargeCount < len(charges) {
 		return fmt.Errorf("accountant: restored charge count %d below %d log entries", chargeCount, len(charges))
 	}
-	a.commitMu.Lock()
-	defer a.commitMu.Unlock()
-	a.spentBits.Store(math.Float64bits(sum))
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.spent = sum
 	a.log = append(a.log[:0], charges...)
 	a.byLabel = make(map[string]float64, 8)
 	for _, c := range charges {
@@ -274,25 +244,18 @@ func (a *Accountant) Restore(charges []Charge, chargeCount int) error {
 	return nil
 }
 
-// CASRetries returns how many admission compare-and-swap attempts lost a
-// race and retried. A value persistently large relative to the admitted
-// charge count means many concurrent spenders are hammering this one
-// tenant's budget word; the serving layer aggregates it across tenants at
-// metrics-scrape time.
-func (a *Accountant) CASRetries() uint64 { return a.casRetries.Load() }
-
 // ChargeCount returns the number of admitted charges (including charges
 // folded into a restored snapshot) without copying the log.
 func (a *Accountant) ChargeCount() int {
-	a.commitMu.Lock()
-	defer a.commitMu.Unlock()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	return a.restored + len(a.log)
 }
 
 // Charges returns a copy of the expenditure log in order.
 func (a *Accountant) Charges() []Charge {
-	a.commitMu.Lock()
-	defer a.commitMu.Unlock()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	out := make([]Charge, len(a.log))
 	copy(out, a.log)
 	return out
@@ -302,8 +265,8 @@ func (a *Accountant) Charges() []Charge {
 // budget ledger. The aggregation is maintained incrementally at commit time,
 // so a poll costs one small map copy however long the expenditure log is.
 func (a *Accountant) SpentByLabel() map[string]float64 {
-	a.commitMu.Lock()
-	defer a.commitMu.Unlock()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	out := make(map[string]float64, len(a.byLabel))
 	for label, eps := range a.byLabel {
 		out[label] = eps
@@ -314,9 +277,9 @@ func (a *Accountant) SpentByLabel() map[string]float64 {
 // Reset clears all spending (including restored state), keeping the budget.
 // Like Restore, it must not race concurrent Spends.
 func (a *Accountant) Reset() {
-	a.commitMu.Lock()
-	defer a.commitMu.Unlock()
-	a.spentBits.Store(0)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.spent = 0
 	a.log = a.log[:0]
 	a.byLabel = make(map[string]float64, 8)
 	a.restored = 0
@@ -329,7 +292,7 @@ func (a *Accountant) Split(n int) (float64, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("accountant: cannot split into %d shares", n)
 	}
-	r := a.budget - a.loadSpent()
+	r := a.budget - a.Spent()
 	if r <= 0 {
 		return 0, ErrBudgetExceeded
 	}

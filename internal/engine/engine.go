@@ -72,7 +72,8 @@ type Common struct {
 	// validation.
 	Answers []float64 `json:"answers,omitempty"`
 	// Monotonic declares a monotonic (e.g. counting) query list, halving the
-	// required noise scale. Resolved counting queries set it automatically.
+	// required noise scale. For dataset-backed requests ResolveRequest
+	// overwrites it with the resolver's verdict.
 	Monotonic bool `json:"monotonic,omitempty"`
 	// Dataset names a server-side catalogued dataset to answer Queries
 	// against, in place of inline Answers.

@@ -304,8 +304,9 @@ func ResolveRequest(req Request, r Resolver) error {
 		return err
 	}
 	c.Answers = answers
-	// Counting queries are monotonic whether or not the client said so;
-	// never downgrade an explicitly monotonic request.
-	c.Monotonic = c.Monotonic || monotonic
+	// The resolver, not the client, knows whether the resolved queries are
+	// monotone: a client flag must not buy the halved noise scale for a
+	// threshold, minus or join spec.
+	c.Monotonic = monotonic
 	return nil
 }

@@ -26,6 +26,8 @@ func (r *fakeResolver) Resolve(dataset string, spec *QuerySpec) ([]float64, bool
 			out[i] = float64(it) * 10
 		}
 		return out, true, nil
+	case QueryThreshold:
+		return []float64{5, 4, 3, 0, 0}, false, nil
 	default:
 		return nil, false, fmt.Errorf("%w: kind %q", ErrBadQuerySpec, spec.Kind)
 	}
@@ -100,13 +102,28 @@ func TestResolveRequestErrors(t *testing.T) {
 }
 
 func TestResolveRequestKeepsExplicitMonotonic(t *testing.T) {
-	// A resolver reporting non-monotonic answers must not clear a request's
-	// explicit monotonic flag.
-	req := &MaxRequest{Common: Common{Monotonic: true, Dataset: "known", Queries: &QuerySpec{Kind: QueryAllItems}}}
-	if err := ResolveRequest(req, &fakeResolver{}); err != nil {
-		t.Fatal(err)
-	}
-	if !req.Monotonic {
-		t.Error("explicit monotonic flag cleared")
+	// The resolver's monotone flag decides, whatever the client sent: an
+	// explicit flag must not buy the halved noise scale for a non-monotone
+	// spec, and its absence must not withhold it from a monotone one.
+	monotone := &QuerySpec{Kind: QueryAllItems}
+	nonMonotone := &QuerySpec{Kind: QueryThreshold, MinCount: 3, Of: []*QuerySpec{{Kind: QueryAllItems}}}
+	for _, tc := range []struct {
+		client bool
+		spec   *QuerySpec
+		want   bool
+	}{
+		{false, monotone, true},
+		{true, monotone, true},
+		{false, nonMonotone, false},
+		{true, nonMonotone, false},
+	} {
+		req := &MaxRequest{Common: Common{Monotonic: tc.client, Dataset: "known", Queries: tc.spec}}
+		if err := ResolveRequest(req, &fakeResolver{}); err != nil {
+			t.Fatalf("client %v, kind %q: %v", tc.client, tc.spec.Kind, err)
+		}
+		if req.Monotonic != tc.want {
+			t.Errorf("client %v, kind %q: monotonic = %v, want the resolver's %v",
+				tc.client, tc.spec.Kind, req.Monotonic, tc.want)
+		}
 	}
 }

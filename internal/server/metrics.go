@@ -3,9 +3,8 @@ package server
 // Scrape-time sampled metrics. Most of the server's telemetry is pushed on
 // the hot path (counters, latency histograms); the values here are instead
 // sampled when /metrics is scraped, because they are snapshots of live state
-// — uptime, the WAL queue depth and generation, each tenant's remaining ε,
-// the accountant CAS-retry total — and sampling them per scrape costs the
-// scraper, not the request path.
+// — uptime, the WAL queue depth and generation, each tenant's remaining ε —
+// and sampling them per scrape costs the scraper, not the request path.
 
 import (
 	"net/http"
@@ -37,8 +36,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // sampleScrapeGauges refreshes every sampled series. Serialized by scrapeMu
-// so concurrent scrapes do not race on the tenant-gauge map or the CAS-retry
-// delta bookkeeping.
+// so concurrent scrapes do not race on the tenant-gauge map or the
+// plan-flush delta bookkeeping.
 func (s *Server) sampleScrapeGauges() {
 	s.scrapeMu.Lock()
 	defer s.scrapeMu.Unlock()
@@ -52,16 +51,9 @@ func (s *Server) sampleScrapeGauges() {
 		s.telemetry.Gauge("freegap_wal_queue_depth").Set(int64(s.persist.Pending()))
 		s.telemetry.Gauge("freegap_wal_generation").Set(int64(s.persist.Generation()))
 	}
-	// One pass over the registry covers both per-tenant gauges and the
-	// CAS-retry total. The retry counters are monotone per accountant and
-	// accountants are never removed, so the summed total is monotone too;
-	// publishing the delta through a Counter keeps the exposition a true
-	// counter across scrapes.
-	var retries uint64
 	live := make(map[string]struct{}, len(s.tenantGauges))
 	var overflow []tenantSample // past the cap this scrape; retry after eviction
 	s.reg.Range(func(tenant string, a *accountant.Accountant) bool {
-		retries += a.CASRetries()
 		live[tenant] = struct{}{}
 		if g, ok := s.tenantGauges[tenant]; ok {
 			g.Set(a.Remaining())
@@ -92,14 +84,10 @@ func (s *Server) sampleScrapeGauges() {
 		g.Set(ts.remaining)
 		s.tenantGauges[ts.tenant] = g
 	}
-	if retries >= s.lastCASRetries {
-		s.casRetriesTotal.Add(retries - s.lastCASRetries)
-		s.lastCASRetries = retries
-	}
 	// The plan caches count their capacity sweeps per dataset; the scrape sums
-	// them into one counter the same monotone-delta way. Removing a dataset
-	// can shrink the sum — the guard just skips publishing until it catches
-	// back up, keeping the exposition a true counter.
+	// them and publishes the delta through a Counter. Removing a dataset can
+	// shrink the sum — the guard just skips publishing until it catches back
+	// up, keeping the exposition a true counter.
 	var flushes uint64
 	for _, name := range s.datasets.Names() {
 		if e, err := s.datasets.Get(name); err == nil {

@@ -304,7 +304,6 @@ func TestMetricsScrapeWellFormed(t *testing.T) {
 	for _, want := range []string{
 		"freegap_requests_total", "freegap_request_seconds", "freegap_stage_seconds",
 		"freegap_build_info", "freegap_uptime_seconds", "freegap_tenant_remaining_epsilon",
-		"freegap_admission_cas_retries_total",
 	} {
 		if _, ok := typed[want]; !ok {
 			t.Errorf("scrape missing metric %s", want)

@@ -49,11 +49,12 @@ func (r *benchRecorder) reset() {
 
 // BenchmarkServerParallelManyTenants is the multi-core scaling benchmark: 64
 // tenants hammered by parallel clients (GOMAXPROCS × b.SetParallelism), each
-// request picking its tenant round-robin so every accountant shard, registry
-// shard and telemetry cell stays warm. The "inline" variant ships a 256-item
-// answer vector per request; the "resolved" variant names a catalogued
-// dataset, so the request body is tiny and the serving cost is pure
-// dispatch + charge + mechanism. Each client goroutine reuses one request
+// request picking its tenant round-robin, so the clients contend on the
+// tenant registry, the shared telemetry series and (64 ways) the tenants'
+// accountants. The "inline" variant ships a 256-item answer vector per
+// request; the "resolved" variant names a catalogued dataset, so the
+// request body is tiny and the serving cost is pure dispatch + charge +
+// mechanism. Each client goroutine reuses one request
 // value, one body reader and one response recorder — only the body reader is
 // re-armed per iteration (the server wraps and consumes r.Body every
 // request) — so the reported B/op and allocs/op are the serving path's, not

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -132,6 +133,52 @@ func TestCompositeSpecsOnEveryEndpoint(t *testing.T) {
 	br := decodeInto[BatchResponse](t, data)
 	if len(br.Results) != 1 || br.Results[0].Error != nil {
 		t.Errorf("batch results = %+v", br.Results)
+	}
+}
+
+// TestResolvedMonotonicFlagIsServerDecided pins that a client's "monotonic"
+// flag cannot change how a resolved spec is released: the planner decides
+// whether the resolved queries are monotone. Two identically seeded servers
+// answer the same spec, one request flagged monotonic and one not; the
+// releases must match bit for bit. For a threshold or minus spec the flag
+// would otherwise halve the noise scale of a non-monotone query list.
+func TestResolvedMonotonicFlagIsServerDecided(t *testing.T) {
+	allItems := map[string]any{"kind": "all_items"}
+	for _, spec := range []map[string]any{
+		{"kind": "threshold", "min_count": 2, "of": []any{allItems}},
+		{"kind": "minus", "of": []any{allItems, map[string]any{"kind": "item_count", "items": []int32{4}}}},
+		{"kind": "filter", "where": map[string]any{"min_len": 2}},
+	} {
+		var topk [2][]SelectionJSON
+		var svt [2][]SVTAnswerJSON
+		for i, monotonic := range []bool{false, true} {
+			_, ts := newTestServer(t, Config{Workers: 1, Seed: 11})
+			uploadDescending(t, ts.URL, "sales")
+			resp, data := postJSON(t, ts.URL+"/v1/topk", map[string]any{
+				"tenant": "t", "k": 2, "epsilon": 1.0, "monotonic": monotonic,
+				"dataset": "sales", "queries": spec,
+			})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%v topk: status = %d, body = %s", spec["kind"], resp.StatusCode, data)
+			}
+			topk[i] = decodeInto[TopKResponse](t, data).Selections
+			resp, data = postJSON(t, ts.URL+"/v1/svt", map[string]any{
+				"tenant": "t", "k": 2, "epsilon": 1.0, "threshold": 2.5, "monotonic": monotonic,
+				"dataset": "sales", "queries": spec,
+			})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%v svt: status = %d, body = %s", spec["kind"], resp.StatusCode, data)
+			}
+			svt[i] = decodeInto[SVTResponse](t, data).Above
+		}
+		if !reflect.DeepEqual(topk[0], topk[1]) {
+			t.Errorf("%v topk: monotonic=false released %+v, monotonic=true released %+v",
+				spec["kind"], topk[0], topk[1])
+		}
+		if !reflect.DeepEqual(svt[0], svt[1]) {
+			t.Errorf("%v svt: monotonic=false released %+v, monotonic=true released %+v",
+				spec["kind"], svt[0], svt[1])
+		}
 	}
 }
 

@@ -288,8 +288,6 @@ type Server struct {
 	// scrapeMu across concurrent /metrics scrapes.
 	scrapeMu        sync.Mutex
 	tenantGauges    map[string]*telemetry.FloatGauge
-	casRetriesTotal *telemetry.Counter
-	lastCASRetries  uint64
 	planFlushTotal  *telemetry.Counter
 	lastPlanFlushes uint64
 	// Streaming state (see streaming.go). Every dataset hashes to one of the
@@ -465,7 +463,6 @@ func New(cfg Config) (*Server, error) {
 	s.telemetry.Help("freegap_uptime_seconds", "Seconds since the server was constructed.")
 	s.telemetry.Help("freegap_build_info", "Constant 1, labelled with the server version and Go runtime version.")
 	s.telemetry.Help("freegap_tenant_remaining_epsilon", "Remaining privacy budget per tenant, sampled at scrape.")
-	s.telemetry.Help("freegap_admission_cas_retries_total", "Budget-admission CAS loop retries across all tenant accountants.")
 	s.telemetry.Help("freegap_appends_total", "Dataset append requests admitted and applied incrementally.")
 	s.telemetry.Help("freegap_monitors", "Registered SVT threshold monitors, retired ones included.")
 	s.telemetry.Help("freegap_monitor_verdicts_total", "Threshold-monitor verdicts released across all monitors.")
@@ -473,7 +470,6 @@ func New(cfg Config) (*Server, error) {
 	s.telemetry.Help("freegap_plan_cache_flushes_total", "Compiled-plan cache capacity sweeps across all datasets (full resets excluded).")
 	s.telemetry.FloatGauge("freegap_build_info",
 		telemetry.L("version", Version), telemetry.L("go_version", runtime.Version())).Set(1)
-	s.casRetriesTotal = s.telemetry.Counter("freegap_admission_cas_retries_total")
 	s.planFlushTotal = s.telemetry.Counter("freegap_plan_cache_flushes_total")
 	// Provisioned before the restore loop: replaying journalled appends and
 	// monitor registrations moves the monitor gauge and verdict counter.

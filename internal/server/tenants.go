@@ -3,10 +3,9 @@ package server
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/freegap/freegap/internal/accountant"
 	"github.com/freegap/freegap/internal/engine"
@@ -21,64 +20,24 @@ var ErrTenantLimit = errors.New("server: tenant limit reached")
 // engine so CLI and batch callers validate identically.
 const maxTenantNameLen = engine.MaxTenantNameLen
 
-// maxRegistryShards caps the shard count; beyond this the per-shard maps are
-// so sparsely contended that more shards only waste memory.
-const maxRegistryShards = 256
-
-// registryShardCount picks the shard count for a new registry: GOMAXPROCS
-// rounded up to a power of two (so the hash → shard mapping is a mask, not a
-// division), capped at maxRegistryShards.
-func registryShardCount() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	shards := 1
-	for shards < n {
-		shards <<= 1
-	}
-	if shards > maxRegistryShards {
-		shards = maxRegistryShards
-	}
-	return shards
-}
-
-// registryShard is one lock domain of the registry: tenants whose ids hash
-// here never contend with tenants hashed elsewhere. The pad keeps adjacent
-// shards' mutexes off one cache line.
-type registryShard struct {
-	mu      sync.RWMutex
-	tenants map[string]*accountant.Accountant
-	_       [64]byte
-}
-
 // Registry is a concurrency-safe map of tenant id → privacy accountant. An
 // accountant is created with the configured initial budget the first time a
 // tenant issues a request, and every subsequent request is charged against it
 // atomically, so concurrent clients of the same tenant draw from one budget.
-//
-// The map is sharded by tenant-id hash into GOMAXPROCS-ish lock domains, so
-// lookups (the per-request fast path) and creations for distinct tenants
-// never serialize on one global mutex; the only registry-wide shared state
-// is the atomic tenant count backing the provisioning cap.
+// One RWMutex guards the map, the tenant cap and the journal: lookups (the
+// per-request fast path) share the read lock, and only the first request of
+// a new tenant takes the write lock.
 type Registry struct {
 	budget float64
 	// maxTenants caps auto-provisioning; zero means unlimited.
 	maxTenants int
-	// count is the live tenant total across all shards, reserved by CAS
-	// before an insert so the cap stays strict however many shards race.
-	count  atomic.Int64
-	shards []registryShard
-	mask   uint64
-	// journal, when set, observes every admitted charge batch of every
-	// tenant (see SetJournal). It is read lock-free on the (rare) tenant
-	// creation path and written by SetJournal before serving.
-	journal atomic.Pointer[journalBox]
-}
 
-// journalBox wraps the journal interface so it can live in an
-// atomic.Pointer (interfaces are two words and cannot be stored atomically).
-type journalBox struct{ j ChargeJournal }
+	mu      sync.RWMutex
+	tenants map[string]*accountant.Accountant
+	// journal, when set, observes every admitted charge batch of every
+	// tenant (see SetJournal).
+	journal ChargeJournal
+}
 
 // ChargeJournal observes admitted charges for durable persistence. The
 // registry installs a per-tenant hook into each accountant so AppendCharge
@@ -97,39 +56,15 @@ func NewRegistry(initialBudget float64, maxTenants int) (*Registry, error) {
 	if maxTenants < 0 {
 		return nil, fmt.Errorf("server: max tenants %d must not be negative", maxTenants)
 	}
-	n := registryShardCount()
-	r := &Registry{
+	return &Registry{
 		budget:     initialBudget,
 		maxTenants: maxTenants,
-		shards:     make([]registryShard, n),
-		mask:       uint64(n - 1),
-	}
-	for i := range r.shards {
-		r.shards[i].tenants = make(map[string]*accountant.Accountant)
-	}
-	return r, nil
+		tenants:    make(map[string]*accountant.Accountant),
+	}, nil
 }
 
 // InitialBudget returns the ε budget new tenants are provisioned with.
 func (r *Registry) InitialBudget() float64 { return r.budget }
-
-// NumShards returns the registry's shard count (exposed for tests and
-// startup logging).
-func (r *Registry) NumShards() int { return len(r.shards) }
-
-// shardFor hashes the tenant id (FNV-1a) onto its shard.
-func (r *Registry) shardFor(tenant string) *registryShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(tenant); i++ {
-		h ^= uint64(tenant[i])
-		h *= prime64
-	}
-	return &r.shards[h&r.mask]
-}
 
 // validTenant reports whether the tenant id is acceptable.
 func validTenant(tenant string) error {
@@ -139,56 +74,40 @@ func validTenant(tenant string) error {
 	return nil
 }
 
-// reserveSlot reserves one tenant slot against the cap (strictly: a CAS loop,
-// so racing creators in different shards can never jointly overshoot).
-func (r *Registry) reserveSlot(enforceCap bool) error {
-	for {
-		c := r.count.Load()
-		if enforceCap && r.maxTenants > 0 && c >= int64(r.maxTenants) {
-			return fmt.Errorf("%w: %d tenants provisioned", ErrTenantLimit, c)
-		}
-		if r.count.CompareAndSwap(c, c+1) {
-			return nil
-		}
-	}
-}
-
 // Get returns the tenant's accountant, creating it with the initial budget on
 // first use.
 func (r *Registry) Get(tenant string) (*accountant.Accountant, error) {
 	if err := validTenant(tenant); err != nil {
 		return nil, err
 	}
-	sh := r.shardFor(tenant)
-	sh.mu.RLock()
-	a, ok := sh.tenants[tenant]
-	sh.mu.RUnlock()
+	r.mu.RLock()
+	a, ok := r.tenants[tenant]
+	r.mu.RUnlock()
 	if ok {
 		return a, nil
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if a, ok := sh.tenants[tenant]; ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if a, ok := r.tenants[tenant]; ok {
 		return a, nil
 	}
-	if err := r.reserveSlot(true); err != nil {
-		return nil, err
+	if r.maxTenants > 0 && len(r.tenants) >= r.maxTenants {
+		return nil, fmt.Errorf("%w: %d tenants provisioned", ErrTenantLimit, len(r.tenants))
 	}
 	a = accountant.MustNew(r.budget)
 	r.installJournal(tenant, a)
-	sh.tenants[tenant] = a
+	r.tenants[tenant] = a
 	return a, nil
 }
 
 // installJournal wires the registry journal (if any) into one accountant.
-// Caller holds the tenant's shard lock for writing.
+// Caller holds r.mu for writing.
 func (r *Registry) installJournal(tenant string, a *accountant.Accountant) {
-	box := r.journal.Load()
-	if box == nil || box.j == nil {
+	j := r.journal
+	if j == nil {
 		a.SetJournal(nil)
 		return
 	}
-	j := box.j
 	a.SetJournal(func(charges []accountant.Charge) { j.AppendCharge(tenant, charges) })
 }
 
@@ -196,14 +115,11 @@ func (r *Registry) installJournal(tenant string, a *accountant.Accountant) {
 // accountant — existing and future — reports its admitted charges to it.
 // Install before serving traffic; passing nil removes the hooks.
 func (r *Registry) SetJournal(j ChargeJournal) {
-	r.journal.Store(&journalBox{j: j})
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for tenant, a := range sh.tenants {
-			r.installJournal(tenant, a)
-		}
-		sh.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.journal = j
+	for tenant, a := range r.tenants {
+		r.installJournal(tenant, a)
 	}
 }
 
@@ -216,30 +132,25 @@ func (r *Registry) RestoreTenant(tenant string, charges []accountant.Charge, cha
 	if err := validTenant(tenant); err != nil {
 		return err
 	}
-	sh := r.shardFor(tenant)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.tenants[tenant]; ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.tenants[tenant]; ok {
 		return fmt.Errorf("server: tenant %q restored twice", tenant)
 	}
 	a := accountant.MustNew(r.budget)
 	if err := a.Restore(charges, chargeCount); err != nil {
 		return fmt.Errorf("server: restoring tenant %q: %w", tenant, err)
 	}
-	if err := r.reserveSlot(false); err != nil {
-		return err
-	}
 	r.installJournal(tenant, a)
-	sh.tenants[tenant] = a
+	r.tenants[tenant] = a
 	return nil
 }
 
 // Lookup returns the tenant's accountant without creating one.
 func (r *Registry) Lookup(tenant string) (*accountant.Accountant, bool) {
-	sh := r.shardFor(tenant)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	a, ok := sh.tenants[tenant]
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	a, ok := r.tenants[tenant]
 	return a, ok
 }
 
@@ -273,37 +184,30 @@ func (r *Registry) ChargeBatch(tenant string, charges []accountant.Charge) (rema
 }
 
 // Len returns the number of live tenants.
-func (r *Registry) Len() int { return int(r.count.Load()) }
+func (r *Registry) Len() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.tenants)
+}
 
-// Range calls fn for every live tenant until fn returns false. Each shard's
-// read lock is held only while that shard is walked, so a long fn (or many
-// tenants) never blocks writes registry-wide; tenants created mid-iteration
-// may or may not be visited, as with any concurrent map walk.
+// Range calls fn for every live tenant until fn returns false. It walks a
+// copy of the map taken under the read lock, so fn runs without the lock and
+// may be slow or call back into the registry; tenants created mid-walk are
+// not visited.
 func (r *Registry) Range(fn func(tenant string, a *accountant.Accountant) bool) {
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for tenant, a := range sh.tenants {
-			if !fn(tenant, a) {
-				sh.mu.RUnlock()
-				return
-			}
+	r.mu.RLock()
+	tenants := maps.Clone(r.tenants)
+	r.mu.RUnlock()
+	for tenant, a := range tenants {
+		if !fn(tenant, a) {
+			return
 		}
-		sh.mu.RUnlock()
 	}
 }
 
 // Tenants returns the live tenant ids, sorted.
 func (r *Registry) Tenants() []string {
-	out := make([]string, 0, r.Len())
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for t := range sh.tenants {
-			out = append(out, t)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Strings(out)
-	return out
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return slices.Sorted(maps.Keys(r.tenants))
 }

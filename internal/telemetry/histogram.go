@@ -1,12 +1,8 @@
 package telemetry
 
-// Latency histograms for the serving hot path. Like Counter and Gauge, a
-// Histogram is striped over cache-line-padded cells picked by the calling
-// goroutine's stack address, so concurrent observers on different cores
-// almost never bounce a cache line between them; the /metrics scrape sums
-// the cells. Buckets are fixed at construction — exponential base-2 bounds
-// from 1µs to ~8.4s — which keeps an observation a handful of atomic adds
-// with no allocation, comparison loop, or lock.
+// Latency histograms for the serving hot path. Buckets are fixed —
+// exponential base-2 bounds from 1µs to ~8.4s — which keeps an observation
+// three atomic adds with no allocation, comparison loop, or lock.
 
 import (
 	"fmt"
@@ -37,29 +33,18 @@ func init() {
 	}
 }
 
-// histCell is one padded stripe cell: per-bucket counts plus the running
-// nanosecond sum and observation count. The trailing pad rounds the cell to
-// a cache-line multiple so adjacent cells never share a line.
-type histCell struct {
+// Histogram is a fixed-bucket latency histogram safe for concurrent use:
+// per-bucket counts plus the running nanosecond sum and observation count,
+// the same layout as ValueHistogram. The zero value is ready to use.
+type Histogram struct {
 	counts [numHistBuckets + 1]atomic.Uint64 // counts[numHistBuckets] is +Inf
 	sum    atomic.Int64                      // total observed nanoseconds
 	count  atomic.Uint64
-	_      [histCellPad]byte
 }
 
-// histCellPad rounds histCell up to the next cache-line multiple.
-const histCellPad = (cellBytes - (numHistBuckets+3)*8%cellBytes) % cellBytes
-
-// Histogram is a fixed-bucket latency histogram safe for concurrent use.
-// Create instances with NewHistogram or CounterSet.Histogram (the zero value
-// is not usable — the stripe is sized at construction).
-type Histogram struct {
-	cells []histCell
-}
-
-// NewHistogram returns a striped latency histogram with the package's fixed
+// NewHistogram returns an empty latency histogram with the package's fixed
 // exponential bucket layout.
-func NewHistogram() *Histogram { return &Histogram{cells: make([]histCell, numCells)} }
+func NewHistogram() *Histogram { return &Histogram{} }
 
 // bucketIndex maps a duration to its bucket: the smallest i with
 // d <= 2^i µs, or numHistBuckets for observations past the last bound.
@@ -84,51 +69,28 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	c := &h.cells[cellIndex(len(h.cells))]
-	c.counts[bucketIndex(d)].Add(1)
-	c.sum.Add(int64(d))
-	c.count.Add(1)
+	h.counts[bucketIndex(d)].Add(1)
+	h.sum.Add(int64(d))
+	h.count.Add(1)
 }
 
 // Snapshot returns the cumulative bucket counts (last entry is the +Inf
 // bucket, equal to the total count), the summed observation time, and the
-// observation count, summed over the stripe cells.
+// observation count.
 func (h *Histogram) Snapshot() (cumulative [numHistBuckets + 1]uint64, sum time.Duration, count uint64) {
-	var raw [numHistBuckets + 1]uint64
-	var sumNs int64
-	for i := range h.cells {
-		c := &h.cells[i]
-		for b := range raw {
-			raw[b] += c.counts[b].Load()
-		}
-		sumNs += c.sum.Load()
-		count += c.count.Load()
-	}
 	var cum uint64
-	for b, n := range raw {
-		cum += n
+	for b := range h.counts {
+		cum += h.counts[b].Load()
 		cumulative[b] = cum
 	}
-	return cumulative, time.Duration(sumNs), count
+	return cumulative, time.Duration(h.sum.Load()), h.count.Load()
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	var total uint64
-	for i := range h.cells {
-		total += h.cells[i].count.Load()
-	}
-	return total
-}
+func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the total observed time.
-func (h *Histogram) Sum() time.Duration {
-	var ns int64
-	for i := range h.cells {
-		ns += h.cells[i].sum.Load()
-	}
-	return time.Duration(ns)
-}
+func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
 // Quantile returns an upper bound for the q-quantile (0 ≤ q ≤ 1) of the
 // observed distribution: the upper bound of the bucket the quantile falls
@@ -203,10 +165,8 @@ func formatFloat(v float64) string {
 }
 
 // FloatGauge is a float-valued gauge for administratively-sampled values
-// (e.g. a tenant's remaining ε, sampled at scrape time). It is a single
-// atomic word — sampled values are written by one scraper at a time, so the
-// contention-relieving stripe of Counter/Gauge would buy nothing here. The
-// zero value is ready to use.
+// (e.g. a tenant's remaining ε, sampled at scrape time). The zero value is
+// ready to use.
 type FloatGauge struct {
 	bits atomic.Uint64
 }

@@ -3,152 +3,50 @@
 // deliberately separate from internal/metrics, which implements the paper's
 // Section 7 evaluation metrics (MSE, precision, recall): one package is about
 // operating the service, the other about measuring mechanism quality.
-//
-// Counters and gauges are striped: each holds a small power-of-two array of
-// cache-line-padded cells, and an increment lands on a cell picked from the
-// calling goroutine's stack address, so concurrent writers on different
-// cores overwhelmingly hit different cache lines instead of bouncing one hot
-// atomic between them. Reads (the /metrics scrape) sum the cells; the
-// rendered Prometheus text is byte-identical to the single-cell layout.
 package telemetry
 
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
-
-// cellBytes is the assumed cache-line size the cells are padded to.
-const cellBytes = 64
-
-// maxCells caps the stripe width; past this the scrape-time summation cost
-// buys no additional contention relief.
-const maxCells = 64
-
-// numCells is the stripe width: GOMAXPROCS at package init rounded up to a
-// power of two (so cell picking is a mask), capped at maxCells.
-var numCells = func() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	cells := 1
-	for cells < n {
-		cells <<= 1
-	}
-	if cells > maxCells {
-		cells = maxCells
-	}
-	return cells
-}()
-
-// cellIndex picks a stripe cell for the calling goroutine. Goroutines have
-// no visible id, but they do have distinct stacks: the address of a local,
-// folded through a multiplicative hash, is a cheap stationary per-goroutine
-// value. n must be a power of two.
-func cellIndex(n int) int {
-	var probe byte
-	h := uint64(uintptr(unsafe.Pointer(&probe)))
-	// Drop the low in-frame bits, then spread the remaining stack-slab bits
-	// across the index with the 64-bit golden-ratio multiplier.
-	h = (h >> 10) * 0x9e3779b97f4a7c15
-	return int((h >> 32) & uint64(n-1))
-}
-
-// counterCell is one padded stripe cell.
-type counterCell struct {
-	v atomic.Uint64
-	_ [cellBytes - 8]byte
-}
-
-// gaugeCell is one padded stripe cell holding a signed delta.
-type gaugeCell struct {
-	v atomic.Int64
-	_ [cellBytes - 8]byte
-}
 
 // Counter is a monotonically increasing counter safe for concurrent use: the
 // dpserver increments counters on its hot path and exposes them in the
-// Prometheus text exposition format. The zero value works (single-cell); the
-// CounterSet registry hands out striped instances.
+// Prometheus text exposition format. The zero value is ready to use.
 type Counter struct {
-	// base serves zero-value Counters and is always included in Value.
-	base  atomic.Uint64
-	cells []counterCell
+	v atomic.Uint64
 }
-
-// NewCounter returns a striped counter.
-func NewCounter() *Counter { return &Counter{cells: make([]counterCell, numCells)} }
 
 // Inc adds one to the counter.
-func (c *Counter) Inc() { c.Add(1) }
+func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n to the counter.
-func (c *Counter) Add(n uint64) {
-	if cs := c.cells; cs != nil {
-		cs[cellIndex(len(cs))].v.Add(n)
-		return
-	}
-	c.base.Add(n)
-}
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
-// Value returns the current count (the sum over the stripe cells).
-func (c *Counter) Value() uint64 {
-	total := c.base.Load()
-	for i := range c.cells {
-		total += c.cells[i].v.Load()
-	}
-	return total
-}
+// Value returns the current count.
+func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Gauge is a value that can go up and down, safe for concurrent use (e.g.
-// in-flight requests). Inc/Dec stripe like Counter; Value sums the signed
-// cell deltas. The zero value works (single-cell).
+// in-flight requests). The zero value is ready to use.
 type Gauge struct {
-	base  atomic.Int64
-	cells []gaugeCell
+	v atomic.Int64
 }
-
-// NewGauge returns a striped gauge.
-func NewGauge() *Gauge { return &Gauge{cells: make([]gaugeCell, numCells)} }
 
 // Inc adds one to the gauge.
-func (g *Gauge) Inc() { g.add(1) }
+func (g *Gauge) Inc() { g.v.Add(1) }
 
 // Dec subtracts one from the gauge.
-func (g *Gauge) Dec() { g.add(-1) }
+func (g *Gauge) Dec() { g.v.Add(-1) }
 
-func (g *Gauge) add(n int64) {
-	if cs := g.cells; cs != nil {
-		cs[cellIndex(len(cs))].v.Add(n)
-		return
-	}
-	g.base.Add(n)
-}
+// Set replaces the gauge value.
+func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Set replaces the gauge value. Set is for administratively-published values
-// (catalog sizes, health flags); racing it against concurrent Inc/Dec yields
-// an approximate result, exactly as summing a moving gauge always does.
-func (g *Gauge) Set(n int64) {
-	for i := range g.cells {
-		g.cells[i].v.Store(0)
-	}
-	g.base.Store(n)
-}
-
-// Value returns the current gauge value (the sum over the stripe cells).
-func (g *Gauge) Value() int64 {
-	total := g.base.Load()
-	for i := range g.cells {
-		total += g.cells[i].v.Load()
-	}
-	return total
-}
+// Value returns the current gauge value.
+func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Label is one key="value" pair attached to a counter or gauge series.
 type Label struct {
@@ -162,7 +60,7 @@ func L(key, value string) Label { return Label{Key: key, Value: value} }
 // CounterSet is a registry of named counter and gauge series that renders
 // itself in the Prometheus text exposition format. Series are created on
 // first use and retrieved by (name, labels) afterwards, so hot paths can
-// cache the returned pointer and pay only a striped atomic add per event.
+// cache the returned pointer and pay only an atomic add per event.
 type CounterSet struct {
 	mu          sync.Mutex
 	counters    map[string]*Counter
@@ -205,7 +103,7 @@ func (s *CounterSet) Counter(name string, labels ...Label) *Counter {
 	if c, ok := s.counters[key]; ok {
 		return c
 	}
-	c := NewCounter()
+	c := &Counter{}
 	s.counters[key] = c
 	s.names = append(s.names, key)
 	s.kinds[key] = "counter"
@@ -221,7 +119,7 @@ func (s *CounterSet) Gauge(name string, labels ...Label) *Gauge {
 	if g, ok := s.gauges[key]; ok {
 		return g
 	}
-	g := NewGauge()
+	g := &Gauge{}
 	s.gauges[key] = g
 	s.names = append(s.names, key)
 	s.kinds[key] = "gauge"
@@ -246,7 +144,7 @@ func (s *CounterSet) FloatGauge(name string, labels ...Label) *FloatGauge {
 
 // Histogram returns the latency histogram series with the given name and
 // labels, creating it empty on first use. Hot paths should cache the
-// returned pointer; an observation is then a few striped atomic adds.
+// returned pointer; an observation is then three atomic adds.
 func (s *CounterSet) Histogram(name string, labels ...Label) *Histogram {
 	key := seriesKey(name, labels)
 	s.mu.Lock()

@@ -4,9 +4,7 @@ package telemetry
 // 1µs — useless for distributions like "how many workers did this scan fan
 // out to", where the interesting values are 1..64. ValueHistogram keeps the
 // same cumulative-bucket exposition but with power-of-two value bounds
-// (le 1, 2, 4, … 64, +Inf). It is observed at most once per query
-// resolution, far off the per-record hot path, so plain shared atomics are
-// enough — no stripe.
+// (le 1, 2, 4, … 64, +Inf).
 
 import (
 	"fmt"
