@@ -414,6 +414,40 @@ func BenchmarkMechanismTopKWithGapRun(b *testing.B) {
 			}
 		})
 	}
+	// The serving path (pooled scratch) over Kosarak-shaped counts from 64
+	// answers to Kosarak's 41,270 items, across the lazy sampler's cutoff.
+	kosarak := dataset.KosarakConfig()
+	for _, n := range []int{64, 256, 512, 1024, 2048, 4096, 16384, 41270} {
+		counts := zipfCounts(n, float64(kosarak.Records)*kosarak.MeanLength, kosarak.ZipfExponent)
+		b.Run(fmt.Sprintf("kosarak_k=10_n=%d", n), func(b *testing.B) {
+			src := rng.NewXoshiro(1)
+			m := core.TopKWithGap{K: 10, Epsilon: 1, Monotonic: true}
+			var scr core.TopKScratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.RunScratch(src, counts, &scr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// zipfCounts returns the expected item counts of a Zipf(s) popularity over n
+// items holding the given number of item occurrences: the shape the
+// synthetic generators sample from, without materialising the records.
+func zipfCounts(n int, occurrences, s float64) []float64 {
+	counts := make([]float64, n)
+	total := 0.0
+	for i := range counts {
+		counts[i] = math.Pow(float64(i+1), -s)
+		total += counts[i]
+	}
+	for i := range counts {
+		counts[i] = math.Round(counts[i] * occurrences / total)
+	}
+	return counts
 }
 
 func BenchmarkMechanismAdaptiveSVTRun(b *testing.B) {

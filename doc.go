@@ -212,6 +212,21 @@
 // Mechanism.Execute remains correct, just unpooled. A response built from a
 // scratch aliases its buffers: encode it before reusing the scratch.
 //
+// Noisy-Top-K-with-Gap (topk, max, pipeline/topk and their batch items)
+// samples Laplace noise lazily over 1,024 or more answers: it finds the
+// (k+1)-th largest answer c, draws full noise only for answers within 18
+// noise scales b of it, picks the few farther answers whose noise carries
+// them above the level L = c − 8b by geometric skips with thinning (each
+// such value is L + Exp(b), whatever its answer), and falls back to drawing
+// every answer, truncated at L, in the rare run (at most (k+1)·½e^{−8})
+// where fewer than k+1 values exceed L. When the noise scale dwarfs the
+// answers' spread (no probed answer lies below the head), the dense path
+// runs instead. The released indices and gaps have exactly the dense
+// sampler's distribution, so the privacy proof is unchanged, but a run's
+// time now depends on how many answers lie near the top, on the fallback
+// and on which path runs: latency carries information the ε guarantee does
+// not cover.
+//
 // The memory path is flat as well. Each dataset's transactions are stored
 // in immutable blocks of 2,048 records, every block one flat item array
 // plus end offsets, and data generations share every full block, so an
@@ -224,10 +239,11 @@
 // streaming codecs over pooled buffers whose output is byte-identical to
 // encoding/json (golden tests pin every shape, including error envelopes
 // and ?trace=1 splices; unrepresentable shapes fall back to the stdlib).
-// Batch requests pre-size the noise requirement of every fixed-draw
-// mechanism, fill it in one vectorized pass, and hand each mechanism its
-// unit-scale window — bit-identical to per-request draws, because the
-// Laplace scale multiply factors out exactly in IEEE arithmetic.
+// Batch requests pre-size the noise requirement of every fixed-draw item —
+// topk and max below the lazy-sampling cutoff — fill it in one vectorized
+// pass, and hand each item its unit-scale window, bit-identical to
+// per-request draws because the Laplace scale multiply factors out exactly
+// in IEEE arithmetic; lazily sampled items draw from a live source.
 //
 // Reads scale across cores too: a filter query's record scan shards the
 // dataset's storage blocks across a bounded worker pool — capped by

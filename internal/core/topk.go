@@ -144,14 +144,27 @@ func (r *TopKResult) PerQueryNoiseVariance() float64 {
 }
 
 // TopKScratch holds the request-scoped buffers one Noisy-Top-K run needs:
-// the noisy-score vector, the rank index vector and the selections backing
-// array. Serving layers pool TopKScratch values so the hot path performs no
-// per-request allocations; the zero value is ready to use and the buffers
-// grow amortized to the largest request they have served.
+// the noisy-score vector, the rank index vector, the selections backing
+// array, and the lazy sampler's drawn positions and values. Serving layers
+// pool TopKScratch values so the hot path performs no per-request
+// allocations; the zero value is ready to use and the buffers grow amortized
+// to the largest request they have served.
 type TopKScratch struct {
 	noisy      []float64
 	idx        []int
 	selections []Selection
+	pos        []int
+	vals       []float64
+}
+
+// headVals returns a length-n float buffer, separate from floats, for the
+// lazy sampler's drawn values.
+func (s *TopKScratch) headVals(n int) []float64 {
+	if cap(s.vals) < n {
+		s.vals = make([]float64, n)
+	}
+	s.vals = s.vals[:n]
+	return s.vals
 }
 
 // floats returns a length-n float buffer backed by the scratch.
@@ -189,10 +202,13 @@ func (m *TopKWithGap) Run(src rng.Source, answers []float64) (*TopKResult, error
 }
 
 // RunScratch is Run drawing its working memory from scr (nil allocates
-// fresh). The noise vector is filled in one vectorized pass — same draw
-// order as scalar sampling, so fixed-seed outputs are unchanged — and the
-// result's Selections slice is backed by the scratch: the result must be
-// consumed before scr is reused for another run.
+// fresh). Below lazyMinQueries answers, or for non-Laplace noise, the noise
+// vector is filled in one vectorized pass — same draw order as scalar
+// sampling, so fixed-seed outputs are unchanged. From lazyMinQueries on,
+// Laplace noise is drawn lazily, near the (k+1)-th largest answer only (see
+// lazy.go), with the same output distribution. The result's Selections
+// slice is backed by the scratch: the result must be consumed before scr is
+// reused for another run.
 func (m *TopKWithGap) RunScratch(src rng.Source, answers []float64, scr *TopKScratch) (*TopKResult, error) {
 	n := len(answers)
 	if n == 0 {
@@ -208,6 +224,11 @@ func (m *TopKWithGap) RunScratch(src rng.Source, answers []float64, scr *TopKScr
 		scr = &TopKScratch{}
 	}
 	scale := m.NoiseScale()
+	if m.SamplesLazily(n) {
+		if res := m.runLazy(src, answers, scr, scale); res != nil {
+			return res, nil
+		}
+	}
 	nz := noiser{kind: m.Noise, base: m.DiscreteBase}
 
 	// One vectorized noise pass, then one add pass over the (read-only)

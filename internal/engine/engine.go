@@ -80,6 +80,10 @@ type Common struct {
 	Dataset string `json:"dataset,omitempty"`
 	// Queries is the counting-query spec resolved against Dataset.
 	Queries *QuerySpec `json:"queries,omitempty"`
+	// resolved records that ResolveRequest filled Answers through the
+	// resolver, whose vectors are finite by construction, so validate does
+	// not re-check each answer.
+	resolved bool
 }
 
 // Base returns the shared fields; embedding Common gives every concrete
@@ -99,6 +103,9 @@ func (c *Common) validate(lim Limits) error {
 	}
 	if lim.MaxAnswers > 0 && len(c.Answers) > lim.MaxAnswers {
 		return fmt.Errorf("%d answers exceeds the server limit of %d", len(c.Answers), lim.MaxAnswers)
+	}
+	if c.resolved {
+		return nil
 	}
 	for i, a := range c.Answers {
 		if math.IsNaN(a) || math.IsInf(a, 0) {
@@ -274,14 +281,16 @@ type Mechanism interface {
 	Execute(src rng.Source, req Request, scr *Scratch) (Response, error)
 }
 
-// UnitNoiser is implemented by mechanisms whose noise consumption factors
-// into a fixed number of unit-scale Laplace draws times a per-request scale.
-// Batch callers exploit it to fill one shared noise vector for many
-// sub-requests in a single vectorized pass and hand each mechanism its
-// window. The contract is bit-exactness: ExecuteUnitNoise fed the unit-scale
-// draws that src would have produced must return exactly what Execute(src,
-// ...) returns, because the scalar sampler's last operation is the multiply
-// by scale.
+// UnitNoiser is implemented by mechanisms whose noise consumption, for some
+// requests, factors into a fixed number of unit-scale Laplace draws times a
+// per-request scale. Batch callers exploit it to fill one shared noise
+// vector for many sub-requests in a single vectorized pass and hand each
+// mechanism its window. The contract is bit-exactness for every request with
+// UnitNoiseLen ≥ 0: ExecuteUnitNoise fed the unit-scale draws that src would
+// have produced must return exactly what Execute(src, ...) returns, because
+// the scalar sampler's last operation is the multiply by scale. topk and max
+// qualify only below core's lazy-sampling cutoff: from it on they draw a
+// data-dependent number of samples, report -1, and run through Execute.
 type UnitNoiser interface {
 	// UnitNoiseLen returns how many unit-scale Laplace draws executing req
 	// consumes, or -1 when prenoised execution does not apply to this

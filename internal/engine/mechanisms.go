@@ -88,13 +88,24 @@ func (topkMechanism) Execute(src rng.Source, req Request, scr *Scratch) (Respons
 }
 
 // UnitNoiseLen reports one unit-scale draw per answer (Algorithm 1 noises
-// every query once).
+// every query once), or -1 from the lazy sampler's cutoff on.
 func (topkMechanism) UnitNoiseLen(req Request) int {
 	r, ok := req.(*TopKRequest)
 	if !ok {
 		return -1
 	}
-	return len(r.Answers)
+	return unitNoiseLen(len(r.Answers))
+}
+
+// unitNoiseLen is the unit-noise window a topk or max request over n answers
+// takes: n draws, or -1 when core samples the run lazily and so consumes a
+// data-dependent number of draws.
+func unitNoiseLen(n int) int {
+	var laplace core.TopKWithGap // both mechanisms draw Laplace noise
+	if laplace.SamplesLazily(n) {
+		return -1
+	}
+	return n
 }
 
 func (topkMechanism) ExecuteUnitNoise(req Request, unit []float64, scr *Scratch) (Response, error) {
@@ -181,13 +192,14 @@ func (maxMechanism) Execute(src rng.Source, req Request, scr *Scratch) (Response
 	return &MaxResponse{Index: res.Selections[0].Index, Gap: res.Selections[0].Gap}, nil
 }
 
-// UnitNoiseLen reports one unit-scale draw per answer.
+// UnitNoiseLen reports one unit-scale draw per answer, or -1 from the lazy
+// sampler's cutoff on.
 func (maxMechanism) UnitNoiseLen(req Request) int {
 	r, ok := req.(*MaxRequest)
 	if !ok {
 		return -1
 	}
-	return len(r.Answers)
+	return unitNoiseLen(len(r.Answers))
 }
 
 func (maxMechanism) ExecuteUnitNoise(req Request, unit []float64, scr *Scratch) (Response, error) {

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/freegap/freegap/internal/core"
 	"github.com/freegap/freegap/internal/rng"
 )
 
@@ -63,5 +64,37 @@ func TestExecuteUnitNoiseBitIdentity(t *testing.T) {
 	topk, _ := reg.Get("topk")
 	if got := topk.(UnitNoiser).UnitNoiseLen(reqs["max"]); got != -1 {
 		t.Errorf("topk.UnitNoiseLen(max request) = %d, want -1", got)
+	}
+}
+
+// TestUnitNoiseLenOptsOutFromLazyCutoff pins the other half of the prenoise
+// contract: from core's lazy-sampling cutoff on, topk and max draw a
+// data-dependent number of samples, so they report -1 and batch callers run
+// them through Execute with a live source.
+func TestUnitNoiseLenOptsOutFromLazyCutoff(t *testing.T) {
+	cutoff := 1
+	for !(&core.TopKWithGap{}).SamplesLazily(cutoff) {
+		cutoff++
+	}
+	reg := DefaultRegistry()
+	for _, n := range []int{cutoff - 1, cutoff, 4 * cutoff} {
+		answers := make([]float64, n)
+		reqs := map[string]Request{
+			"topk": &TopKRequest{Common: Common{Epsilon: 1, Answers: answers, Monotonic: true}, K: 10},
+			"max":  &MaxRequest{Common: Common{Epsilon: 1, Answers: answers}},
+		}
+		want := n
+		if n >= cutoff {
+			want = -1
+		}
+		for name, req := range reqs {
+			mech, err := reg.Get(name)
+			if err != nil {
+				t.Fatalf("Get(%q): %v", name, err)
+			}
+			if got := mech.(UnitNoiser).UnitNoiseLen(req); got != want {
+				t.Errorf("%s.UnitNoiseLen over %d answers = %d, want %d (cutoff %d)", name, n, got, want, cutoff)
+			}
+		}
 	}
 }

@@ -271,7 +271,8 @@ func (q *QuerySpec) onlyFields(allowed int) error {
 // Resolver turns (dataset, spec) into query answers. The serving layer
 // injects an implementation backed by its dataset catalog; monotonic reports
 // whether the resolved queries form a monotonic list (true for counting
-// queries), letting the mechanisms use the halved noise scale.
+// queries), letting the mechanisms use the halved noise scale. The answers
+// must be finite: validation does not re-check resolved vectors.
 type Resolver interface {
 	Resolve(dataset string, spec *QuerySpec) (answers []float64, monotonic bool, err error)
 }
@@ -304,6 +305,7 @@ func ResolveRequest(req Request, r Resolver) error {
 		return err
 	}
 	c.Answers = answers
+	c.resolved = true
 	// The resolver, not the client, knows whether the resolved queries are
 	// monotone: a client flag must not buy the halved noise scale for a
 	// threshold, minus or join spec.

@@ -101,10 +101,12 @@ func TestResolveRequestErrors(t *testing.T) {
 	}
 }
 
+// TestResolveRequestKeepsExplicitMonotonic pins that the resolver's monotone
+// flag wins over whatever the client sent: an explicit flag must not buy the
+// halved noise scale for a non-monotone spec, and its absence must not
+// withhold it from a monotone one. (The name predates the rule; it is kept so
+// that runs selecting tests by name still find it.)
 func TestResolveRequestKeepsExplicitMonotonic(t *testing.T) {
-	// The resolver's monotone flag decides, whatever the client sent: an
-	// explicit flag must not buy the halved noise scale for a non-monotone
-	// spec, and its absence must not withhold it from a monotone one.
 	monotone := &QuerySpec{Kind: QueryAllItems}
 	nonMonotone := &QuerySpec{Kind: QueryThreshold, MinCount: 3, Of: []*QuerySpec{{Kind: QueryAllItems}}}
 	for _, tc := range []struct {
@@ -124,6 +126,39 @@ func TestResolveRequestKeepsExplicitMonotonic(t *testing.T) {
 		if req.Monotonic != tc.want {
 			t.Errorf("client %v, kind %q: monotonic = %v, want the resolver's %v",
 				tc.client, tc.spec.Kind, req.Monotonic, tc.want)
+		}
+	}
+}
+
+// TestPooledDecodeDropsResolvedMark pins that validation's skip of the
+// per-answer finiteness check covers only answers ResolveRequest filled: a
+// request decoded into the same pooled scratch after a resolved one starts
+// unmarked, so its inline answers are checked again.
+func TestPooledDecodeDropsResolvedMark(t *testing.T) {
+	topk, err := DefaultRegistry().Get("topk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scr := NewScratch()
+	for _, tc := range []struct {
+		body     string
+		resolved bool
+	}{
+		{`{"tenant":"t","epsilon":1,"k":1,"dataset":"known","queries":{"kind":"all_items"}}`, true},
+		{`{"tenant":"t","epsilon":1,"k":1,"answers":[3,2,1]}`, false},
+	} {
+		req, _, err := DecodeRequest(topk, []byte(tc.body), scr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ResolveRequest(req, &fakeResolver{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := req.Base().resolved; got != tc.resolved {
+			t.Errorf("%s: resolved mark = %v, want %v", tc.body, got, tc.resolved)
+		}
+		if err := topk.Validate(req, Limits{}); err != nil {
+			t.Errorf("%s: %v", tc.body, err)
 		}
 	}
 }

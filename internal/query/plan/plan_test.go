@@ -397,6 +397,19 @@ func TestDifferentialRandom(t *testing.T) {
 			t.Fatalf("generator emitted an invalid spec %v: %v", spec, err)
 		}
 		checkDifferential(t, w, "main", spec)
+		// The engine does not re-check resolved answers for NaN or ±Inf, so
+		// every resolved vector must be finite, cached and NoCache alike.
+		for _, opts := range []Options{{}, {NoCache: true}} {
+			res, err := Resolve(w.store, w.entry(t, "main"), spec, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, a := range res.Answers {
+				if math.IsNaN(a) || math.IsInf(a, 0) {
+					t.Fatalf("%s (NoCache %v): answers[%d] = %v is not finite", Canonical(spec), opts.NoCache, j, a)
+				}
+			}
+		}
 	}
 }
 

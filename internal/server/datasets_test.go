@@ -3,10 +3,13 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
 
+	"github.com/freegap/freegap/internal/core"
+	"github.com/freegap/freegap/internal/engine"
 	"github.com/freegap/freegap/internal/store"
 	"github.com/freegap/freegap/internal/telemetry"
 )
@@ -380,5 +383,87 @@ func TestConfigPreload(t *testing.T) {
 	// A bad preload must fail construction, not limp along.
 	if _, err := New(Config{Preload: []store.Preload{{Name: "bad", Synthetic: "nope"}}}); err == nil {
 		t.Error("bad preload accepted")
+	}
+}
+
+// TestBatchMixesLazyAndPrenoisedItems sends one batch holding a resolved
+// topk over enough items to sample lazily (no unit-noise window; it runs
+// through Execute with a live source) and a resolved max below the cutoff
+// (a prenoised window). At ε = 1e4 the noise scale is ~1e-3, so both must
+// release the true order.
+func TestBatchMixesLazyAndPrenoisedItems(t *testing.T) {
+	const items = 1500
+	if !(&core.TopKWithGap{}).SamplesLazily(items) || (&core.TopKWithGap{}).SamplesLazily(4) {
+		t.Fatalf("the lazy cutoff no longer separates %d answers from 4", items)
+	}
+	// One record holds every item; record r adds items 0..11-r, so item i < 12
+	// counts 13 - i and every other item counts 1.
+	var fimi strings.Builder
+	for i := 0; i < items; i++ {
+		fmt.Fprintf(&fimi, "%d ", i)
+	}
+	fimi.WriteString("\n")
+	for r := 0; r < 12; r++ {
+		for i := 0; i <= 11-r; i++ {
+			fmt.Fprintf(&fimi, "%d ", i)
+		}
+		fimi.WriteString("\n")
+	}
+	_, ts := newTestServer(t, Config{Workers: 2, TenantBudget: 1e5})
+	resp, data := postJSON(t, ts.URL+"/v1/datasets", DatasetUploadRequest{Name: "wide", FIMI: fimi.String()})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload status = %d, body = %s", resp.StatusCode, data)
+	}
+
+	item := func(v any) json.RawMessage {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	resp, data = postJSON(t, ts.URL+"/v1/batch", BatchRequest{
+		Tenant: "acme",
+		Requests: []BatchItem{
+			{Mechanism: "topk", Request: item(map[string]any{"epsilon": 1e4, "k": 10, "dataset": "wide", "queries": map[string]any{"kind": "all_items"}})},
+			{Mechanism: "max", Request: item(map[string]any{"epsilon": 1e4, "dataset": "wide", "queries": map[string]any{"kind": "item_count", "items": []int{3, 700, 800, 900}}})},
+		},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status = %d, body = %s", resp.StatusCode, data)
+	}
+	var out struct {
+		Results []struct {
+			Response json.RawMessage `json:"response"`
+			Error    *ErrorBody      `json:"error"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(data, &out); err != nil || len(out.Results) != 2 {
+		t.Fatalf("batch body %s: %v", data, err)
+	}
+	for i, res := range out.Results {
+		if res.Error != nil {
+			t.Fatalf("results[%d] failed: %+v", i, res.Error)
+		}
+	}
+
+	var topk engine.TopKResponse
+	if err := json.Unmarshal(out.Results[0].Response, &topk); err != nil {
+		t.Fatal(err)
+	}
+	if len(topk.Selections) != 10 {
+		t.Fatalf("topk selections = %+v", topk.Selections)
+	}
+	for i, sel := range topk.Selections {
+		if sel.Index != i || math.Abs(sel.Gap-1) > 0.1 {
+			t.Errorf("topk selection %d = %+v, want index %d with gap ≈ 1", i, sel, i)
+		}
+	}
+	var mx engine.MaxResponse
+	if err := json.Unmarshal(out.Results[1].Response, &mx); err != nil {
+		t.Fatal(err)
+	}
+	if mx.Index != 0 || math.Abs(mx.Gap-9) > 0.1 {
+		t.Errorf("max = index %d gap %v, want index 0 with gap ≈ 9", mx.Index, mx.Gap)
 	}
 }

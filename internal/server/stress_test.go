@@ -1,12 +1,12 @@
 package server
 
-// Concurrency-invariant stress tests for the sharded, lock-split serving
-// path. The accountant admits charges through a lock-free CAS and commits
-// the audit log and journal behind a secondary lock; the registry spreads
-// tenants over hash-picked shards; the WAL observes admitted charges through
-// the journal hook. These tests hammer Spend/SpendBatch/Restore from many
-// goroutines (run them with -race) and then check the linearization-style
-// invariants the refactor must preserve:
+// Concurrency-invariant stress tests for the serving path's budget state.
+// One mutex per accountant guards its spent total, audit log, per-label
+// totals and journal call; the registry is one RWMutex over one tenant map;
+// the WAL observes admitted charges through the journal hook. These tests
+// hammer Spend/SpendBatch/Restore from many goroutines (run them with -race)
+// and then check the linearization-style invariants any lock layout must
+// preserve:
 //
 //   - Σ admitted charges == spent, per tenant (no lost or double-counted ε)
 //   - spent ≤ budget + tolerance, per tenant (no overspend, however many
@@ -27,7 +27,7 @@ import (
 )
 
 // TestRegistryConcurrentSpendInvariants races single spends, batch spends
-// and tenant restores across every registry shard and verifies the budget
+// and tenant restores across many tenants and verifies the budget
 // invariants tenant by tenant.
 func TestRegistryConcurrentSpendInvariants(t *testing.T) {
 	const (
@@ -83,8 +83,8 @@ func TestRegistryConcurrentSpendInvariants(t *testing.T) {
 		}(g)
 	}
 	// Restores race the spends: every restored tenant is a fresh name (the
-	// registry forbids restoring an existing one), so restores exercise the
-	// shard write paths while the spenders hammer the read paths.
+	// registry forbids restoring an existing one), so restores take the
+	// registry's write lock while the spenders hammer its read path.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -144,8 +144,8 @@ func TestRegistryConcurrentSpendInvariants(t *testing.T) {
 // TestWALHistoryMatchesAdmittedCharges is the AWDIT-style history check: a
 // real WAL journals a storm of racing charges, and afterwards the durable
 // state must hold exactly the admitted history — same per-tenant totals,
-// same per-label breakdown, same charge counts; nothing lost to the split
-// between CAS admission and locked commit, nothing journalled twice.
+// same per-label breakdown, same charge counts; nothing admitted without
+// its journal entry, nothing journalled twice.
 func TestWALHistoryMatchesAdmittedCharges(t *testing.T) {
 	const (
 		tenants    = 8
@@ -274,9 +274,11 @@ func TestWALHistoryMatchesAdmittedCharges(t *testing.T) {
 }
 
 // TestAccountantCASNeverOverspends pins the admission rule at the accountant
-// level: many goroutines race one tight budget with charges that do not
-// divide it evenly, and the admitted total must land within tolerance of
-// (and never above) the budget.
+// level: many goroutines race one tight budget, admitted one at a time under
+// the accountant's mutex, with charges that do not divide it evenly, and the
+// admitted total must land within tolerance of (and never above) the budget.
+// (The name predates the mutex; it is kept so that runs selecting tests by
+// name still find it.)
 func TestAccountantCASNeverOverspends(t *testing.T) {
 	const (
 		budget     = 1.0

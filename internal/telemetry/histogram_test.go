@@ -44,8 +44,9 @@ func TestBucketIndex(t *testing.T) {
 }
 
 // TestHistogramConcurrentStress hammers one histogram from many goroutines
-// under -race and then checks the cell-summed totals are EXACT against the
-// serially computed reference — striping must lose or double-count nothing.
+// under -race and then checks its bucket counters, sum and count are EXACT
+// against the serially computed reference — concurrent atomic adds must
+// lose or double-count nothing.
 func TestHistogramConcurrentStress(t *testing.T) {
 	const (
 		goroutines = 16

@@ -92,8 +92,10 @@ func TestCounterSetConcurrent(t *testing.T) {
 }
 
 // TestStripedCountersSumExactly hammers one counter and one gauge from many
-// goroutines and verifies the scrape-time sum is exact: striping may spread
-// the increments over cells, but it must never lose or double-count one.
+// goroutines and verifies the final value is exact: each is one atomic word,
+// and concurrent increments must never lose or double-count one. (The name
+// predates that layout; it is kept so that runs selecting tests by name
+// still find it.)
 func TestStripedCountersSumExactly(t *testing.T) {
 	set := NewCounterSet()
 	c := set.Counter("stripe_test_total")
@@ -127,8 +129,9 @@ func TestStripedCountersSumExactly(t *testing.T) {
 	}
 }
 
-// TestZeroValueCounterAndGauge pins the zero-value fallback: un-striped
-// instances constructed directly still count correctly.
+// TestZeroValueCounterAndGauge pins that a Counter or Gauge declared as a
+// zero value, outside any CounterSet, counts correctly: the one atomic word
+// needs no constructor.
 func TestZeroValueCounterAndGauge(t *testing.T) {
 	var c Counter
 	var g Gauge
