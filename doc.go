@@ -138,9 +138,14 @@
 // item universe and extended by scanning only the records after M (a
 // plan-cache miss that leaves count_scans unchanged). Plans containing a
 // join are not cached. Cache misses evaluate vectorized passes in greedy
-// cheapest-first order; filter scans walk the dataset's flat storage blocks
-// and skip whole blocks via the zone sketches (per-block length range + item
-// Bloom filter) built at registration and kept in the arena. Appending
+// cheapest-first order; filter scans read the dataset's flat storage blocks,
+// skip whole blocks whose zone sketch (per-block length range, built at
+// registration and kept in the arena) misses the length bounds, and walk
+// exact item postings for `contains`: in each full block only the records
+// on the rarest item's list, and none of a block where an item's list is
+// empty. An item's postings are built by the first scan that names it and
+// extended over the blocks appends seal; registration and appends build
+// none, and the postings take O(occurrences of the items queried). Appending
 // ?explain=1 to a mechanism endpoint returns the compiled plan, uncharged.
 // Specs in the monotone fragment (all_items, item_count, filter, union,
 // intersect) have sensitivity 1 and keep the halved noise scale. threshold,

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"github.com/freegap/freegap/internal/rng"
 )
@@ -280,26 +279,26 @@ func (m *TopKWithGap) RunPrenoised(unit, answers []float64, scr *TopKScratch) (*
 }
 
 // partialTopCutoff bounds the top-(k+1) size for which the insertion-based
-// partial selection replaces the full sort; beyond it the shift cost of the
-// ordered window loses to sort's n·log n.
+// partial selection runs; beyond it the shift cost of the ordered window
+// loses to the bounded heap's log-time updates.
 const partialTopCutoff = 64
 
 // finish ranks the k+1 largest noisy answers and materialises the selections
 // from the adjacent gaps. Small selections over long vectors take a partial
-// insertion pass (one comparison per non-qualifying element instead of a
-// full sort); otherwise the index vector is sorted outright. Both paths
-// produce the same descending order whenever the noisy values are distinct,
-// which continuous noise guarantees almost surely.
+// insertion pass (one comparison per non-qualifying element); otherwise a
+// min-heap keeps the k+1 largest seen so far, O(n log k), and is then
+// heap-sorted descending. Both paths produce the same descending order
+// whenever the noisy values are distinct, which continuous noise guarantees
+// almost surely.
 func (m *TopKWithGap) finish(noisy []float64, scr *TopKScratch, scale float64) *TopKResult {
 	n := len(noisy)
 	top := m.K + 1
-	var idx []int
+	idx := scr.ints(top)
 	if top <= partialTopCutoff && n >= 4*top {
 		// Partial selection: keep idx[:count] as the current top values in
 		// descending order, insertion-shifting qualifiers into place. Most
 		// elements fail the single threshold comparison against the current
 		// minimum and cost nothing else.
-		idx = scr.ints(top)
 		count := 0
 		for i := 0; i < n; i++ {
 			v := noisy[i]
@@ -318,12 +317,26 @@ func (m *TopKWithGap) finish(noisy []float64, scr *TopKScratch, scale float64) *
 			count++
 		}
 	} else {
-		idx = scr.ints(n)
+		// Bounded heap: idx is a min-heap (by noisy value) of the top
+		// indices seen so far; most elements fail the one comparison
+		// against its root. Swapping each root behind the shrinking heap
+		// then leaves idx in descending order.
 		for i := range idx {
 			idx[i] = i
 		}
-		sort.Slice(idx, func(a, b int) bool { return noisy[idx[a]] > noisy[idx[b]] })
-		idx = idx[:top]
+		for i := top/2 - 1; i >= 0; i-- {
+			siftDownIdx(noisy, idx, i)
+		}
+		for i := top; i < n; i++ {
+			if noisy[i] > noisy[idx[0]] {
+				idx[0] = i
+				siftDownIdx(noisy, idx, 0)
+			}
+		}
+		for end := top - 1; end > 0; end-- {
+			idx[0], idx[end] = idx[end], idx[0]
+			siftDownIdx(noisy, idx[:end], 0)
+		}
 	}
 
 	selections := scr.sels(m.K)
@@ -338,6 +351,25 @@ func (m *TopKWithGap) finish(noisy []float64, scr *TopKScratch, scale float64) *
 		Epsilon:    m.Epsilon,
 		Monotonic:  m.Monotonic,
 		noiseScale: scale,
+	}
+}
+
+// siftDownIdx restores the min-heap order of h, indices into v ordered by
+// their values, below position i.
+func siftDownIdx(v []float64, h []int, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && v[h[c+1]] < v[h[c]] {
+			c++
+		}
+		if !(v[h[c]] < v[h[i]]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }
 

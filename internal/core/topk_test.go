@@ -365,3 +365,42 @@ func TestTopKPartialSelectionAgreesWithSort(t *testing.T) {
 		}
 	}
 }
+
+// TestTopKHeapSelectionAgreesWithSort drives the bounded-heap path — every
+// k+1 above partialTopCutoff, and short vectors (n < 4(k+1)) at any k — on
+// random vectors, and demands the full sort's top k+1: the same indices in
+// the same order, and gaps bit-identical to the sorted values' differences.
+func TestTopKHeapSelectionAgreesWithSort(t *testing.T) {
+	src := rng.NewXoshiro(41)
+	const maxN = 1657
+	for _, k := range []int{64, 65, 100, -1} {
+		for _, n := range []int{2, 66, 67, 101, 102, 130, 259, 260, 404, 405, 1000, maxN} {
+			k := k
+			if k < 0 {
+				k = n - 1
+			}
+			if n < k+1 {
+				continue
+			}
+			m, _ := NewTopKWithGap(k, 1, true)
+			noisy := make([]float64, n)
+			for i := range noisy {
+				noisy[i] = rng.Float64(src) * 1000
+			}
+			got := m.finish(append([]float64(nil), noisy...), &TopKScratch{}, m.NoiseScale())
+			order := make([]int, n)
+			for i := range order {
+				order[i] = i
+			}
+			sort.Slice(order, func(a, b int) bool { return noisy[order[a]] > noisy[order[b]] })
+			for i := 0; i < k; i++ {
+				if got.Selections[i].Index != order[i] {
+					t.Fatalf("k=%d n=%d rank %d: heap picked %d, sort picked %d", k, n, i, got.Selections[i].Index, order[i])
+				}
+				if want := noisy[order[i]] - noisy[order[i+1]]; got.Selections[i].Gap != want {
+					t.Fatalf("k=%d n=%d rank %d: gap %v, want %v", k, n, i, got.Selections[i].Gap, want)
+				}
+			}
+		}
+	}
+}

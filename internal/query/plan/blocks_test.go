@@ -108,3 +108,37 @@ func TestBlockStorageAppendSequences(t *testing.T) {
 		}
 	}
 }
+
+// TestListRecordsMatchesRecordScan pins the flat-pass list builder a first
+// `contains` use runs per block against a record-by-record listing, on
+// blocks whose item counts are not multiples of its eight-item stride, with
+// empty records, repeated items within a record and items at both ends of
+// the flat array.
+func TestListRecordsMatchesRecordScan(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 200; trial++ {
+		recs := make([][]int32, 1+r.Intn(dataset.BlockRecords))
+		for i := range recs {
+			rec := make([]int32, r.Intn(12)) // includes empty records
+			for j := range rec {
+				rec[j] = int32(r.Intn(1 + trial%30))
+			}
+			recs[i] = rec
+		}
+		blk := dataset.New("t", recs).Block(0)
+		for w := int32(0); w <= int32(trial%30)+1; w++ {
+			var want []uint16
+			for i, rec := range recs {
+				for _, it := range rec {
+					if it == w {
+						want = append(want, uint16(i))
+						break
+					}
+				}
+			}
+			if got := listRecords(blk.Items(), blk.Ends(), w); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, item %d: listRecords = %v, want %v", trial, w, got, want)
+			}
+		}
+	}
+}

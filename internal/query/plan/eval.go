@@ -3,17 +3,19 @@ package plan
 // Plan evaluation: vectorized passes over the columnar arenas. Every node
 // evaluates to a full-universe count vector for the entry it runs against
 // (group-by item); leaves read the arena's cached column, filters scan the
-// flat storage blocks under zone-sketch skipping — or, when the plan cache
-// holds the filter's vector from an earlier generation, only the records
-// appended since — and composites fold their operands elementwise in greedy
-// (cheapest-first) order. Subtrees shared between branches evaluate once —
+// flat storage blocks under zone-sketch and item-posting skipping — or, when
+// the plan cache holds the filter's vector from an earlier generation, only
+// the records appended since — and composites fold their operands
+// elementwise in greedy (cheapest-first) order. Subtrees shared between branches evaluate once —
 // the memo keyed by (dataset, canon) turns the tree into a DAG. Returned child vectors are never mutated: every
 // operator folds into its own freshly allocated output, so a leaf can hand
 // out the arena's shared column safely.
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -31,9 +33,10 @@ const DefaultMinParallelRecords = 4 * dataset.BlockRecords
 
 // Options tunes one resolution.
 type Options struct {
-	// NoSkip disables zone-sketch data skipping; every filter scans every
-	// record. Results are identical either way — skipping only elides blocks
-	// proven unmatching.
+	// NoSkip disables data skipping — the zone sketches' length ranges and
+	// the item postings `contains` filters walk (and build) — so every
+	// filter scans every record. Results are identical either way: skipping
+	// only elides records proven unmatching.
 	NoSkip bool
 	// NoCache bypasses the compiled-plan cache: lookup, fill, and the reuse
 	// of cached filter vectors that a filter scan extends by the records
@@ -61,11 +64,13 @@ type Stats struct {
 	// RecordsReused counts records whose contribution filter nodes took from
 	// a cached filter vector instead of scanning them.
 	RecordsReused int
-	// RecordsScanned counts records actually visited by filter scans.
+	// RecordsScanned counts the records of the blocks filter scans read,
+	// whole or along a posting list.
 	RecordsScanned int
-	// RecordsSkipped counts records in blocks the zone sketches skipped.
+	// RecordsSkipped counts the records of the blocks filter scans skipped:
+	// by a zone sketch's length range, or by an item's empty posting list.
 	RecordsSkipped int
-	// BlocksSkipped counts whole zone blocks skipped.
+	// BlocksSkipped counts whole blocks skipped.
 	BlocksSkipped int
 	// ParallelWorkers is the widest worker fan-out any filter scan of the
 	// resolution ran with (1 = every scan was serial, 0 = no scan ran).
@@ -415,13 +420,60 @@ var scanTokens = make(chan struct{}, runtime.GOMAXPROCS(0))
 
 // blockRun is records [from, blk.Len()) of one storage block: a filter
 // scan's unit of work. Only a scan extending a cached vector starts a run
-// mid-block.
+// mid-block. Under a `contains` filter, a run of a full block that its
+// items' postings cover visits only the records at walk, the shortest of
+// the items' lists trimmed at from; a run of the first full blocks they do
+// not cover first fills lists[k] with the offsets of the block's records
+// holding the filter's k-th item, one pass over its flat items per item,
+// then walks the shortest in the same way. Other runs (walk and lists nil)
+// scan their records.
 type blockRun struct {
-	blk  *dataset.Block
-	from int
+	blk   *dataset.Block
+	from  int
+	walk  []uint16
+	lists [][]uint16
 }
 
 func (r blockRun) records() int { return r.blk.Len() - r.from }
+
+// visits is the number of records the run reads.
+func (r blockRun) visits() int {
+	switch {
+	case r.walk != nil:
+		return len(r.walk)
+	case r.lists != nil:
+		return r.blk.Len()
+	}
+	return r.records()
+}
+
+// pickWalk points the run of full block b at the shortest of the filter's
+// posting lists there, trimmed at the run's start, and reports false when
+// one of them is empty: no record of the run holds every item.
+func (r *blockRun) pickWalk(b int, cursors []store.PostingsCursor) bool {
+	for i := range cursors {
+		if !r.pick(cursors[i].Block(b)) {
+			return false
+		}
+	}
+	return true
+}
+
+// pick trims one item's list of the run's block at the run's start, makes
+// it the run's walk if it is the shortest yet, and reports false when it is
+// empty.
+func (r *blockRun) pick(l []uint16) bool {
+	if r.from > 0 {
+		l = l[sort.Search(len(l), func(j int) bool { return int(l[j]) >= r.from }):]
+	}
+	if len(l) == 0 {
+		return false
+	}
+	if r.walk == nil || len(l) < len(r.walk) {
+		r.walk = l
+	}
+	return true
+}
 
 // filterScan counts, per item, the records matching the node's predicate —
 // the one algebra operation that touches the transactions. When the plan
@@ -429,14 +481,24 @@ func (r blockRun) records() int { return r.blk.Len() - r.from }
 // filter resolved before some appends), the first M records are already
 // counted in it: the scan copies it into a vector sized to the current
 // universe and visits only records [M, N), without bumping count_scans,
-// which counts full scans (unless Options.NoCache). Storage blocks the zone
-// sketches prove unmatching are skipped wholesale (unless Options.NoSkip),
-// feeding the entry's records_skipped observable. Surviving blocks are
-// sharded across a bounded worker fan-out when the remaining work clears
-// Options.MinParallelRecords; each worker scans a disjoint contiguous run of
-// blocks into its own partial vector and the partials merge in shard order.
-// Counts are whole numbers, so the merged vector is byte-identical to the
-// serial pass at any fan-out.
+// which counts full scans (unless Options.NoCache).
+//
+// Unless Options.NoSkip, blocks are skipped wholesale, feeding the entry's
+// records_skipped observable: every block when one of the predicate's
+// items is absent from the generation, blocks whose zone sketch's length
+// range misses the predicate's, and full blocks where one of the items has
+// no posting. The other full blocks its items' postings cover visit only
+// the records on their shortest list. The scan builds the postings of the
+// full blocks they do not cover yet as it reads them, and publishes them
+// for later resolutions: the first time an item is named, a scan of every
+// block; after appends, the blocks sealed since.
+//
+// Surviving blocks are sharded across a bounded worker fan-out when their
+// records clear Options.MinParallelRecords; each worker scans a disjoint
+// contiguous run of blocks (building those blocks' lists) into its own
+// partial vector and the partials merge in shard order. Counts are whole
+// numbers, so the merged vector is byte-identical to the serial pass at any
+// fan-out.
 func (c *evalCtx) filterScan(e *store.Entry, n *node) []float64 {
 	v := c.view(e)
 	db := v.Dataset()
@@ -459,43 +521,85 @@ func (c *evalCtx) filterScan(e *store.Entry, n *node) []float64 {
 	}
 	c.stats.FilterScans++
 
-	// Consult the sketches first: the surviving runs are what both the
-	// serial and the parallel path scan. Registration and every append keep
-	// one sketch per storage block, and a sketch that proves a whole block
-	// unmatching proves its tail run unmatching too.
+	// Skip first: the surviving runs are what both the serial and the
+	// parallel path visit. A sketch or posting list that proves a whole
+	// block unmatching proves its tail run unmatching too. Lists are read
+	// only for blocks full in this view: a block a later append sealed is a
+	// different, partial block here.
+	skip, absent := !c.opts.NoSkip, false
+	var (
+		lists   []*store.Postings
+		cursors []store.PostingsCursor
+	)
+	lo := math.MaxInt // the first block some item's postings do not cover
+	if skip && len(n.contains) > 0 {
+		for _, it := range n.contains {
+			absent = absent || !v.Arena().Has(it)
+		}
+		lists = e.Postings(n.contains)
+		for _, p := range lists {
+			cursors = append(cursors, p.Cursor())
+			lo = min(lo, p.Covered())
+		}
+	}
 	zones := v.Arena().Zones()
 	var runs []blockRun
-	surviving, skipped := 0, 0
+	scanned, visits, skipped := 0, 0, 0
 	first := reused / dataset.BlockRecords
+	hi := lo // the scan builds lists for blocks [lo, hi), the full blocks from lo it reads in a row
 	for b := first; b < db.NumBlocks(); b++ {
 		run := blockRun{blk: db.Block(b)}
 		if b == first {
 			run.from = reused % dataset.BlockRecords
 		}
-		if !c.opts.NoSkip && zones.SkipBlock(b, n.contains, n.minLen, n.maxLen) {
+		full := run.blk.Len() == dataset.BlockRecords
+		if skip && (absent || zones.SkipBlock(b, n.minLen, n.maxLen) || (full && b < lo && !run.pickWalk(b, cursors))) {
 			c.stats.BlocksSkipped++
 			skipped += run.records()
 			continue
 		}
+		if full && b == hi && !absent {
+			run.lists = make([][]uint16, len(n.contains))
+			hi++
+		}
 		runs = append(runs, run)
-		surviving += run.records()
+		scanned += run.records()
+		visits += run.visits()
 	}
-	c.stats.RecordsSkipped += skipped
-	e.NoteRecordsSkipped(uint64(skipped))
 
-	if workers := c.scanWorkers(surviving, len(runs)); workers > 1 {
-		if c.parallelScan(runs, surviving, workers, n, out) {
-			return out
+	if workers := c.scanWorkers(scanned, len(runs)); workers <= 1 || !c.parallelScan(runs, visits, workers, n, out) {
+		c.noteWorkers(1)
+		if len(c.stamps) < len(out) {
+			c.stamps = make([]int32, len(out))
+		}
+		for _, run := range runs {
+			c.stamp = scanBlock(run, n, c.stamps, c.stamp, out)
 		}
 	}
-	c.noteWorkers(1)
-	c.stats.RecordsScanned += surviving
-	if len(c.stamps) < len(out) {
-		c.stamps = make([]int32, len(out))
+	if hi > lo {
+		// Publish the lists built, and count a block where one of them
+		// holds no record of the run as skipped, as a walk would have:
+		// the counters do not depend on which resolution built the lists.
+		built := make([][][]uint16, 0, hi-lo)
+		for _, run := range runs {
+			if run.lists == nil {
+				continue
+			}
+			built = append(built, run.lists)
+			for _, l := range run.lists {
+				if len(l) == 0 || int(l[len(l)-1]) < run.from {
+					c.stats.BlocksSkipped++
+					scanned -= run.records()
+					skipped += run.records()
+					break
+				}
+			}
+		}
+		e.ExtendPostings(n.contains, lists, lo, built)
 	}
-	for _, run := range runs {
-		c.stamp = scanBlock(run, n, c.stamps, c.stamp, out)
-	}
+	c.stats.RecordsSkipped += skipped
+	c.stats.RecordsScanned += scanned
+	e.NoteRecordsSkipped(uint64(skipped))
 	return out
 }
 
@@ -531,11 +635,11 @@ func (c *evalCtx) noteWorkers(w int) {
 }
 
 // parallelScan shards runs into up to workers contiguous chunks balanced
-// by record count and scans them concurrently, each worker into a private
-// partial vector with private dedup stamps, then folds the partials into out
-// in shard order. Returns false when no process-wide scan token could be
-// claimed — the caller falls back to the serial loop.
-func (c *evalCtx) parallelScan(runs []blockRun, surviving, workers int, n *node, out []float64) bool {
+// by the records they visit and scans them concurrently, each worker into a
+// private partial vector with private dedup stamps, then folds the partials
+// into out in shard order. Returns false when no process-wide scan token
+// could be claimed — the caller falls back to the serial loop.
+func (c *evalCtx) parallelScan(runs []blockRun, visits, workers int, n *node, out []float64) bool {
 	// Claim tokens for the extra goroutines; the fan-out shrinks rather than
 	// waits when other scans hold the budget.
 	extra := 0
@@ -553,13 +657,13 @@ claim:
 	}
 	workers = extra + 1
 
-	// Contiguous shards balanced by surviving records, never more than one
+	// Contiguous shards balanced by visited records, never more than one
 	// shard short of the claimed width.
-	target := (surviving + workers - 1) / workers
+	target := (visits + workers - 1) / workers
 	shards := make([][]blockRun, 0, workers)
 	start, acc := 0, 0
 	for i, run := range runs {
-		acc += run.records()
+		acc += run.visits()
 		if acc >= target && len(shards) < workers-1 {
 			shards = append(shards, runs[start:i+1])
 			start, acc = i+1, 0
@@ -573,21 +677,17 @@ claim:
 		extra--
 	}
 
-	type partial struct {
-		out     []float64
-		scanned int
-	}
-	parts := make([]partial, len(shards))
+	parts := make([][]float64, len(shards))
 	var wg sync.WaitGroup
 	for i := 1; i < len(shards); i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-scanTokens }()
-			parts[i].out, parts[i].scanned = scanShard(shards[i], n, len(out))
+			parts[i] = scanShard(shards[i], n, len(out))
 		}(i)
 	}
-	parts[0].out, parts[0].scanned = scanShard(shards[0], n, len(out))
+	parts[0] = scanShard(shards[0], n, len(out))
 	wg.Wait()
 
 	// Deterministic shard-order merge into out (which may already hold a
@@ -595,8 +695,7 @@ claim:
 	// so the folded sums are exact and byte-identical to the serial pass no
 	// matter how the balancing split the blocks.
 	for _, p := range parts {
-		c.stats.RecordsScanned += p.scanned
-		for it, x := range p.out {
+		for it, x := range p {
 			if x != 0 {
 				out[it] += x
 			}
@@ -608,44 +707,118 @@ claim:
 
 // scanShard scans one worker's runs of blocks into a private vector with
 // private dedup state.
-func scanShard(shard []blockRun, n *node, universe int) ([]float64, int) {
+func scanShard(shard []blockRun, n *node, universe int) []float64 {
 	out := make([]float64, universe)
 	stamps := make([]int32, universe)
 	var stamp int32
-	scanned := 0
 	for _, run := range shard {
-		scanned += run.records()
 		stamp = scanBlock(run, n, stamps, stamp, out)
 	}
-	return out, scanned
+	return out
 }
 
-// scanBlock scans one run of a storage block's flat items, adding each
-// matching record once to the count of every distinct item it contains (the
-// same per-record dedup the registration count uses, via a stamp array). It
+// scanBlock visits one run of a storage block's flat items — every record,
+// or only the records at the run's walk offsets — adding each record that
+// matches the node's predicate once to the count of every distinct item it
+// contains (the same per-record dedup the registration count uses, via a
+// stamp array). A run with lists first lists the records of its block
+// holding each of the predicate's items, then walks the shortest list. It
 // returns the advanced stamp generation for the caller to carry into its
 // next run.
 func scanBlock(run blockRun, n *node, stamps []int32, stamp int32, out []float64) int32 {
 	items, ends := run.blk.Items(), run.blk.Ends()
-	var start uint32
-	if run.from > 0 {
-		start = ends[run.from-1]
-	}
-	for _, end := range ends[run.from:] {
-		rec := items[start:end]
-		start = end
-		if len(rec) < n.minLen || (n.maxLen > 0 && len(rec) > n.maxLen) {
-			continue
-		}
-		if !containsAll(rec, n.contains) {
-			continue
-		}
-		stamp++
-		for _, it := range rec {
-			if stamps[it] != stamp {
-				stamps[it] = stamp
-				out[it]++
+	if run.lists != nil {
+		held := true
+		for k, w := range n.contains {
+			run.lists[k] = listRecords(items, ends, w)
+			if !run.pick(run.lists[k]) {
+				held = false
 			}
+		}
+		if !held {
+			return stamp
+		}
+	}
+	switch {
+	case run.walk != nil:
+		// Every walked record holds the walked item, so a one-item
+		// predicate needs no item test.
+		others := len(n.contains) > 1
+		for _, o := range run.walk {
+			var start uint32
+			if o > 0 {
+				start = ends[o-1]
+			}
+			rec := items[start:ends[o]]
+			if len(rec) < n.minLen || (n.maxLen > 0 && len(rec) > n.maxLen) {
+				continue
+			}
+			if others && !containsAll(rec, n.contains) {
+				continue
+			}
+			stamp = tally(rec, stamps, stamp, out)
+		}
+
+	default:
+		var start uint32
+		if run.from > 0 {
+			start = ends[run.from-1]
+		}
+		for _, end := range ends[run.from:] {
+			rec := items[start:end]
+			start = end
+			if len(rec) < n.minLen || (n.maxLen > 0 && len(rec) > n.maxLen) {
+				continue
+			}
+			if !containsAll(rec, n.contains) {
+				continue
+			}
+			stamp = tally(rec, stamps, stamp, out)
+		}
+	}
+	return stamp
+}
+
+// listRecords returns the ascending offsets of the records of a block, given
+// by its flat items and record ends, that hold item w. It compares the flat
+// items with w eight at a time and locates the record of a match by
+// advancing through the ends, so a pass costs about one compare per item
+// where a record-by-record scan pays each record's setup too.
+func listRecords(items []int32, ends []uint32, w int32) []uint16 {
+	var l []uint16
+	r := 0
+	for i := 0; i < len(items); {
+		if i+8 <= len(items) {
+			q := items[i : i+8 : i+8]
+			if q[0] != w && q[1] != w && q[2] != w && q[3] != w && q[4] != w && q[5] != w && q[6] != w && q[7] != w {
+				i += 8
+				continue
+			}
+		}
+		for end := min(i+8, len(items)); i < end; i++ {
+			if items[i] != w {
+				continue
+			}
+			for ends[r] <= uint32(i) {
+				r++
+			}
+			if len(l) == 0 || int(l[len(l)-1]) != r {
+				l = append(l, uint16(r))
+			}
+		}
+	}
+	return l
+}
+
+// tally adds the matching record rec once to the count of every distinct
+// item it holds, marking the items with the next stamp generation, which it
+// returns.
+func tally(rec []int32, stamps []int32, stamp int32, out []float64) int32 {
+	stamp++
+	for _, it := range rec {
+		if stamps[it] != stamp {
+			stamps[it] = stamp
+			out[it]++
 		}
 	}
 	return stamp

@@ -171,7 +171,9 @@ func checkAgainstBypassAndNaive(t *testing.T, s *store.Store, e *store.Entry, wa
 // exactly the naive one for its generation, that generation must be no
 // older than the one current when the resolution started (so no generation
 // serves another's vector), and a resolution that extended a cached vector
-// must have started from a real generation's record count.
+// must have started from a real generation's record count. One resolver
+// bypasses the cache, so it keeps walking and building item postings while
+// appends seal blocks.
 func TestFilterExtensionRacesAppends(t *testing.T) {
 	const appends = 40
 	r := rand.New(rand.NewSource(16))
@@ -231,10 +233,15 @@ func TestFilterExtensionRacesAppends(t *testing.T) {
 	stop := make(chan struct{})
 	var resolved atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
+	for w := 0; w < 4; w++ {
 		opts := Options{}
-		if w == 2 {
+		switch w {
+		case 2:
 			opts = Options{Workers: 4, MinParallelRecords: -1}
+		case 3:
+			// Scans every block each time, walking the posting lists of the
+			// blocks they cover and building those of blocks appends seal.
+			opts = Options{NoCache: true}
 		}
 		wg.Add(1)
 		go func() {
@@ -292,4 +299,122 @@ func TestFilterExtensionRacesAppends(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestStaleViewIgnoresNewerPostings pins a generation whose last block is
+// partial, lets a later append seal that block and a resolution build its
+// posting list, then scans the pinned generation: the list indexes records
+// the pinned block does not hold, so the scan must read that block's own
+// records and use lists only for the blocks full in its view.
+func TestStaleViewIgnoresNewerPostings(t *testing.T) {
+	const item = 3
+	recs := func(n, every int) [][]int32 {
+		out := make([][]int32, n)
+		for i := range out {
+			out[i] = []int32{int32(i % 7)}
+			if i%every == 0 {
+				out[i] = append(out[i], item, 9)
+			}
+		}
+		return out
+	}
+	base := recs(dataset.BlockRecords+1500, 5)
+	s := store.New()
+	e, err := s.Register("stale", "test", dataset.New("stale", base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := e.View()
+	if _, err := s.Append("stale", recs(1000, 2)); err != nil {
+		t.Fatal(err)
+	}
+	spec := filterSpec(0, 0, item)
+	if _, err := Resolve(s, e, spec, Options{NoCache: true}); err != nil {
+		t.Fatal(err)
+	}
+	if p := e.Postings([]int32{item})[0]; p.Covered() < 2 {
+		t.Fatalf("postings cover %d blocks after the append sealed block 1, want 2", p.Covered())
+	}
+	want, err := naiveEval(nil, old.Dataset(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{{NoCache: true}, {NoCache: true, Workers: 4, MinParallelRecords: -1}} {
+		c := &evalCtx{opts: opts, memo: map[string][]float64{}, views: map[*store.Entry]store.View{e: old}}
+		if got := c.filterScan(e, normalize(spec)); !vecEqual(got, want) {
+			t.Errorf("workers %d: the pinned generation's scan = %v, want %v", opts.Workers, got, want)
+		}
+		if st := c.stats; st.RecordsScanned+st.RecordsSkipped != old.Dataset().NumRecords() {
+			t.Errorf("workers %d: scanned %d + skipped %d records, want %d", opts.Workers, st.RecordsScanned, st.RecordsSkipped, old.Dataset().NumRecords())
+		}
+	}
+}
+
+// TestPostingsBuildStopsAtAGap pins that a scan builds an item's lists
+// only for the full blocks from the first one its postings miss that it
+// reads in a row. A block skipped by its length range, or one before a
+// carried vector's end, leaves a gap the scan does not read, and postings
+// must cover a prefix of the blocks: the scan stops building there, and a
+// later scan that reads the blocks finishes the lists.
+func TestPostingsBuildStopsAtAGap(t *testing.T) {
+	const item = 4
+	block := func(length int) [][]int32 {
+		recs := make([][]int32, dataset.BlockRecords)
+		for i := range recs {
+			recs[i] = make([]int32, length)
+			for j := range recs[i] {
+				recs[i][j] = int32((i + j) % 9)
+			}
+		}
+		return recs
+	}
+	// Block 1 holds only short records, so a min_len=3 filter skips it by
+	// its length range; the tail is partial.
+	var base [][]int32
+	for _, l := range []int{5, 2, 5, 4} {
+		base = append(base, block(l)...)
+	}
+	base = append(base, block(5)[:100]...)
+	s := store.New()
+	e, err := s.Register("gap", "test", dataset.New("gap", base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered := func(it int32) int { return e.Postings([]int32{it})[0].Covered() }
+	check := func(spec *engine.QuerySpec, opts Options, wantCovered int) {
+		t.Helper()
+		res, err := Resolve(s, e, spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive, err := naiveEval(nil, e.Dataset(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !vecEqual(res.Answers, naive) {
+			t.Fatalf("%s = %v, want %v", Canonical(spec), res.Answers, naive)
+		}
+		if got := covered(spec.Where.Contains[0]); got != wantCovered {
+			t.Fatalf("after %s: postings cover %d blocks, want %d", Canonical(spec), got, wantCovered)
+		}
+	}
+	check(filterSpec(3, 0, item), Options{NoCache: true}, 1) // block 1 skipped: stop after block 0
+	check(filterSpec(0, 0, item), Options{NoCache: true}, 4) // walk block 0, build 1–3
+	check(filterSpec(0, 0, item), Options{NoCache: true}, 4)
+
+	// An item the base lacks: its cached all-zero vector carries over
+	// appends that add it, and extending that vector reads only the blocks
+	// after its end, so the lists of the earlier blocks stay unbuilt.
+	const late = 30
+	spec := filterSpec(0, 0, late)
+	check(spec, Options{}, 0)
+	grow := block(3)
+	for i := range grow {
+		grow[i] = append(grow[i], late)
+	}
+	if _, err := s.Append("gap", grow); err != nil {
+		t.Fatal(err)
+	}
+	check(spec, Options{}, 0)
+	check(spec, Options{NoCache: true}, 5)
 }

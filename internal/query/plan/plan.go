@@ -29,9 +29,13 @@
 //     filter node (the root, or an operand whose spec was cached as a root)
 //     copies it into the grown universe and scans only the records after M.
 //
-//   - Data skipping: filter nodes consult the arena's zone sketches
-//     (per-block min/max record length + item bloom) and skip whole record
-//     blocks that provably hold no matching record.
+//   - Data skipping: filter nodes skip whole record blocks whose zone
+//     sketch (per-block min/max record length) misses the length bounds.
+//     A `contains` filter walks the dataset's exact item postings: in each
+//     full block only the records on its rarest item's list, and none of a
+//     block where an item's list is empty. An item's postings are built by
+//     the first scan that names it, extended over blocks appends seal, and
+//     shared by every generation.
 package plan
 
 import (

@@ -168,7 +168,7 @@ func (w *testWorld) entry(t *testing.T, name string) *store.Entry {
 }
 
 // clusteredRecords builds blocks of records where block b holds only items
-// 8b..8b+7 — the shape zone sketches skip well.
+// 8b..8b+7 — the shape item postings skip well.
 func clusteredRecords(blocks int) [][]int32 {
 	recs := make([][]int32, 0, blocks*dataset.BlockRecords+37)
 	for b := 0; b < blocks; b++ {
@@ -199,6 +199,29 @@ func uniformRecords(n int) [][]int32 {
 	return recs
 }
 
+// zipfRecords is the paper's shape in miniature: n records of 1–6 items
+// drawn from a Zipf law over items 0..9, so every block holds the common
+// items in many records and the rarer ones in a few. Item 10+b also sits in
+// about one record in a hundred of block b alone, so posting lists are
+// empty in every other block; items from 10 plus the block count up are
+// absent.
+func zipfRecords(n int) [][]int32 {
+	r := rand.New(rand.NewSource(21))
+	z := rand.NewZipf(r, 1.2, 1, 9)
+	recs := make([][]int32, n)
+	for i := range recs {
+		rec := make([]int32, 1+r.Intn(6))
+		for j := range rec {
+			rec[j] = int32(z.Uint64())
+		}
+		if r.Intn(100) == 0 {
+			rec[r.Intn(len(rec))] = int32(10 + i/dataset.BlockRecords)
+		}
+		recs[i] = rec
+	}
+	return recs
+}
+
 func newTestWorld(t *testing.T) *testWorld {
 	t.Helper()
 	w := &testWorld{store: store.New(), raw: map[string]*dataset.Transactions{}}
@@ -219,6 +242,7 @@ func newTestWorld(t *testing.T) *testWorld {
 	add("other", [][]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}}, 8)
 	add("clustered", clusteredRecords(3), 0)
 	add("uniform", uniformRecords(2*dataset.BlockRecords+100), 16)
+	add("zipf", zipfRecords(3*dataset.BlockRecords+700), 24) // 3 full blocks, a partial tail, items 14 up absent
 	t.Cleanup(func() { w.store.Close() })
 	return w
 }
@@ -409,6 +433,38 @@ func TestDifferentialRandom(t *testing.T) {
 					t.Fatalf("%s (NoCache %v): answers[%d] = %v is not finite", Canonical(spec), opts.NoCache, j, a)
 				}
 			}
+		}
+	}
+}
+
+// TestDifferentialRandomZipf runs random specs over the Zipf-shaped
+// dataset, whose full blocks the `contains` filters walk by their posting
+// lists: the first filters naming an item build its lists as they scan,
+// later ones walk them and skip the blocks where a list is empty, and
+// filters on absent items skip everything. Every variant must match naive.
+func TestDifferentialRandomZipf(t *testing.T) {
+	w := newTestWorld(t)
+	r := rand.New(rand.NewSource(23))
+	for i := 0; i < 300; i++ {
+		spec := genSpec(r, 2)
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("generator emitted an invalid spec %v: %v", spec, err)
+		}
+		checkDifferential(t, w, "zipf", spec)
+	}
+	// Item 11 sits in block 1 alone and item 14 nowhere: their filters skip
+	// every other full block, and every block, by their lists.
+	e := w.entry(t, "zipf")
+	for _, c := range []struct {
+		item    int32
+		skipped int
+	}{{11, 2}, {14, 4}} {
+		res, err := Resolve(w.store, e, filterSpec(0, 0, c.item), Options{NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.BlocksSkipped != c.skipped {
+			t.Errorf("contains=[%d] skipped %d blocks, want %d", c.item, res.Stats.BlocksSkipped, c.skipped)
 		}
 	}
 }

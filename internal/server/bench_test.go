@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/freegap/freegap/internal/core"
 	"github.com/freegap/freegap/internal/dataset"
 	"github.com/freegap/freegap/internal/persist"
 	"github.com/freegap/freegap/internal/store"
@@ -231,6 +232,32 @@ func BenchmarkServerResolvedTopK(b *testing.B) {
 			b.Fatalf("CountScans = %d after %d resolved requests, want 1", got, b.N)
 		}
 	})
+	// "lazy" is "resolved" at ε = 1, where core's lazy sampler takes the
+	// vector: with noise scale s (k/ε for a monotone top-k), the sampler's
+	// level is c₍ₖ₊₁₎ − 8s and its head cutoff 10s below that, and its tail
+	// probe needs one of 16 evenly spaced answers under the cutoff
+	// (internal/core/lazy.go). At "resolved"'s ε = 0.1 the cutoff is far
+	// below every count, so that vector runs dense.
+	b.Run("lazy", func(b *testing.B) {
+		counts := db.ItemCounts()
+		m := core.TopKWithGap{K: 10, Epsilon: 1, Monotonic: true}
+		head := dataset.KthLargest(counts, m.K+1) - 18*m.NoiseScale()
+		tail := false
+		for i := 0; i < len(counts); i += max(len(counts)/16, 1) {
+			tail = tail || counts[i] < head
+		}
+		if !m.SamplesLazily(len(counts)) || !tail {
+			b.Fatalf("top-%d at ε = %v over %d counts would run dense (head cutoff %.0f)", m.K, m.Epsilon, len(counts), head)
+		}
+		s := newServerWithDataset(b)
+		body := []byte(`{"tenant":"bench","epsilon":1,"k":10,"dataset":"pos","queries":{"kind":"all_items"}}`)
+		h := s.Handler()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			post(b, h, body)
+		}
+	})
 }
 
 // BenchmarkServerTopKPersist runs the exact BenchmarkServerTopK workload
@@ -274,13 +301,16 @@ func BenchmarkServerTopKPersist(b *testing.B) {
 }
 
 // BenchmarkServerFilteredQuery drives a composite filter spec through the
-// query compiler on a clustered multi-block dataset. "selective" matches a
-// single zone block, so sketch-based skipping elides ~97% of the records;
-// "noskip" is the same query with skipping disabled (the denominator of the
-// ≥5× skipping claim); "unselective" is the adversarial shape where every
-// block matches and skipping can only lose its (tiny) probe cost. "cold"
-// resets the plan cache every iteration so each request compiles and scans;
-// "warm" serves the cached vector — the compiled-plan cache hit path.
+// query compiler on multi-block datasets. "selective" matches a single
+// block of a clustered dataset, so the item's empty posting lists skip ~97%
+// of the records; "noskip" is the same query with skipping disabled (the
+// denominator of the ≥5× skipping claim); "unselective" is the adversarial
+// shape where every record matches and a posting walk can only lose to a
+// plain scan; "zipf" is the paper's shape, where every block holds the item
+// in a few records and the walk reads only those. "cold" resets the plan
+// cache every iteration so each request compiles and scans (the item
+// postings, built by the first iteration, stay); "warm" serves the cached
+// vector — the compiled-plan cache hit path.
 func BenchmarkServerFilteredQuery(b *testing.B) {
 	const blocks = 32
 	clustered := make([][]int32, 0, blocks*dataset.BlockRecords)
@@ -297,6 +327,20 @@ func BenchmarkServerFilteredQuery(b *testing.B) {
 
 	selectiveBody := []byte(`{"tenant":"bench","epsilon":0.1,"k":5,"dataset":"blocks","queries":{"kind":"filter","where":{"contains":[200]}}}`)
 	unselectiveBody := []byte(`{"tenant":"bench","epsilon":0.1,"k":5,"dataset":"blocks","queries":{"kind":"filter","where":{"contains":[0]}}}`)
+
+	// The paper's shape: BMS-POS-like records (25 full blocks), each block
+	// holding thousands of distinct items, filtered on the 20th most counted
+	// item, which most blocks hold in a few dozen records.
+	pos, err := store.GenerateSynthetic("bmspos", 10, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	zipf := make([][]int32, pos.NumRecords())
+	for i := range zipf {
+		zipf[i] = pos.Record(i)
+	}
+	zipfBody := []byte(fmt.Sprintf(`{"tenant":"bench","epsilon":0.1,"k":5,"dataset":"blocks","queries":{"kind":"filter","where":{"contains":[%d]}}}`,
+		dataset.TopKItems(pos.ItemCounts(), 20)[19]))
 
 	run := func(b *testing.B, cfg Config, recs [][]int32, body []byte, cold bool) {
 		s := mustServer(b, cfg)
@@ -344,6 +388,7 @@ func BenchmarkServerFilteredQuery(b *testing.B) {
 	b.Run("selective/noskip", func(b *testing.B) { run(b, noskip, clustered, selectiveBody, true) })
 	b.Run("selective/warm", func(b *testing.B) { run(b, base, clustered, selectiveBody, false) })
 	b.Run("unselective/cold", func(b *testing.B) { run(b, base, uniform, unselectiveBody, true) })
+	b.Run("zipf/cold", func(b *testing.B) { run(b, base, zipf, zipfBody, true) })
 }
 
 // BenchmarkDatasetAppend measures the streaming-ingest path: one small FIMI

@@ -150,10 +150,12 @@ type Config struct {
 	// otherwise). Zero applies DefaultSlowRequestThreshold; negative
 	// disables slow-request logging.
 	SlowRequestThreshold time.Duration
-	// DisableQuerySkipping turns off zone-sketch data skipping in composite
-	// filter queries: every filter scans every record. Results are
-	// byte-identical either way; the switch exists for benchmarking the
-	// skipping win and for diagnosing suspected sketch issues.
+	// DisableQuerySkipping turns off data skipping in composite filter
+	// queries — the zone sketches' length ranges and the item postings that
+	// `contains` filters walk — so every filter scans every record. Results
+	// are byte-identical either way; the switch exists for benchmarking the
+	// skipping win and as a plain-scan reference when diagnosing suspected
+	// skipping issues.
 	DisableQuerySkipping bool
 	// ScanWorkers caps the per-query worker fan-out of block-parallel filter
 	// scans: 0 (the default) lets each scan use up to GOMAXPROCS workers, 1
@@ -456,7 +458,7 @@ func New(cfg Config) (*Server, error) {
 	s.telemetry.Help("freegap_plan_cache_hits_total", "Composite query resolutions served from a compiled-plan cache.")
 	s.telemetry.Help("freegap_plan_cache_misses_total", "Composite query resolutions that compiled and evaluated a plan.")
 	s.telemetry.Help("freegap_plan_compile_seconds", "Query-plan normalize+canonicalize time per composite resolution.")
-	s.telemetry.Help("freegap_records_skipped_total", "Records proven unmatching by zone sketches and skipped by filter scans.")
+	s.telemetry.Help("freegap_records_skipped_total", "Records in blocks that filter scans skipped: a zone sketch's length range or an item's empty posting list proved them unmatching.")
 	s.telemetry.Help("freegap_scan_workers", "Widest block-parallel worker fan-out per filter-bearing query resolution (1 = serial).")
 	s.telemetry.Help("freegap_request_seconds", "Request latency by endpoint, full pipeline wall time.")
 	s.telemetry.Help("freegap_stage_seconds", "Pipeline stage latency across all endpoints.")

@@ -10,10 +10,12 @@
 // bitset, min/max and zone sketches are all delta-maintained by scanning only
 // the new records — and installs it with one atomic pointer swap, so readers
 // always see a consistent dataset and the zero-per-request-rescan property
-// survives streaming ingestion. This is the curator trust model of the
-// paper: the server holds the data and answers sensitivity-1 counting
-// queries under DP, instead of clients shipping precomputed answers with
-// every request.
+// survives streaming ingestion. The item postings `contains` filters walk
+// are built by the filter scans themselves, per item on first use
+// (postings.go); registration and appends build none. This is the curator
+// trust model of the paper: the server holds the data and answers
+// sensitivity-1 counting queries under DP, instead of clients shipping
+// precomputed answers with every request.
 package store
 
 import (
@@ -139,7 +141,11 @@ type Entry struct {
 
 	resolutions atomic.Uint64 // query resolutions served from the cache
 	scans       atomic.Uint64 // count materialisations; cached resolutions and appends never add
-	skipped     atomic.Uint64 // records proven unmatching by zone sketches and never scanned
+	skipped     atomic.Uint64 // records in blocks filter scans proved unmatching and never scanned
+
+	// postings holds the record postings of the items filters have named,
+	// over full storage blocks, which every generation shares.
+	postings postingIndex
 
 	// planCounters are the lifetime hit/miss/flush totals of every
 	// generation's plan cache.
@@ -208,8 +214,10 @@ type Info struct {
 	// PlanCacheEntries is the number of cached compiled query plans,
 	// including those carried from earlier generations.
 	PlanCacheEntries int `json:"plan_cache_entries"`
-	// RecordsSkipped counts records that zone sketches proved unmatching,
-	// letting filter scans skip their blocks entirely.
+	// RecordsSkipped counts the records of blocks filter scans skipped
+	// entirely: a zone sketch's length range or an item's empty posting list
+	// (or an item absent from the dataset) proved them unmatching. A block a
+	// filter walks by its posting list counts as scanned.
 	RecordsSkipped uint64 `json:"records_skipped"`
 	// Resolutions counts query resolutions served from the cached counts.
 	Resolutions uint64 `json:"resolutions"`
@@ -595,11 +603,11 @@ func (e *Entry) CountScans() uint64 { return e.scans.Load() }
 // filter evaluated on a plan-cache miss with no carried vector to extend).
 func (e *Entry) NoteCountScan() { e.scans.Add(1) }
 
-// RecordsSkipped returns how many records the zone sketches let filter
-// scans skip.
+// RecordsSkipped returns how many records filter scans skipped by block
+// (see Info.RecordsSkipped).
 func (e *Entry) RecordsSkipped() uint64 { return e.skipped.Load() }
 
-// NoteRecordsSkipped adds n sketch-skipped records to the entry's counter.
+// NoteRecordsSkipped adds n skipped records to the entry's counter.
 func (e *Entry) NoteRecordsSkipped(n uint64) { e.skipped.Add(n) }
 
 // Plans returns the current generation's compiled-plan cache; its hit, miss
