@@ -235,10 +235,14 @@ func TestParseDurabilityFlags(t *testing.T) {
 	if _, err := parseConfig([]string{"-fsync", "sometimes"}); err == nil {
 		t.Error("bad fsync mode accepted")
 	}
-	// The memory-mapped arena restart path is gone; an old command line
-	// naming its flag must fail loudly rather than be silently ignored.
+	// The memory-mapped arena restart path and the scan fan-out knob are
+	// gone; an old command line naming their flags must fail loudly rather
+	// than be silently ignored.
 	if _, err := parseConfig([]string{"-state-dir", "/var/lib/dpserver", "-mmap-datasets"}); err == nil {
 		t.Error("removed -mmap-datasets flag accepted")
+	}
+	if _, err := parseConfig([]string{"-scan-workers", "1"}); err == nil {
+		t.Error("removed -scan-workers flag accepted")
 	}
 }
 

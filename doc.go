@@ -39,17 +39,16 @@
 // # Engine
 //
 // Every servable workload sits behind one interface, Mechanism, with five
-// methods: Name, NewRequest, Validate, Cost and Execute. A MechanismRegistry
-// maps names to implementations; DefaultMechanisms returns the registry the
-// server and CLIs dispatch on, holding the three raw free-gap mechanisms
-// ("topk", "max", "svt") and the paper's two end-to-end workflows
-// ("pipeline/topk" — Section 5.2 select, measure, BLUE-refine; and
-// "pipeline/svt" — Section 6.2 select, measure, combine with Lemma 5
-// bounds). The contract keeps budget handling sound everywhere the engine is
-// used: Validate rejects anything that cannot run (so a rejected request
-// never burns budget), Cost returns the ε to reserve before execution, and
-// Execute draws all randomness from a caller-supplied Source. Running a
-// mechanism directly:
+// methods: Name, NewRequest, Validate, Cost and Execute. DefaultMechanisms
+// returns the fixed MechanismRegistry the server and CLIs dispatch on,
+// holding the three raw free-gap mechanisms ("topk", "max", "svt") and the
+// paper's two end-to-end workflows ("pipeline/topk" — Section 5.2 select,
+// measure, BLUE-refine; and "pipeline/svt" — Section 6.2 select, measure,
+// combine with Lemma 5 bounds). The contract keeps budget handling sound
+// everywhere the engine is used: Validate rejects anything that cannot run
+// (so a rejected request never burns budget), Cost returns the ε to reserve
+// before execution, and Execute draws all randomness from a caller-supplied
+// Source. Running a mechanism directly:
 //
 //	mech, _ := freegap.DefaultMechanisms().Get("pipeline/topk")
 //	req := &freegap.PipelineTopKRequest{
@@ -59,14 +58,13 @@
 //	if err := mech.Validate(req, freegap.MechanismLimits{}); err != nil { ... }
 //	resp, _ := mech.Execute(freegap.NewSource(42), req, nil)
 //
-// Implement and register your own Mechanism and the server serves it at
-// POST /v1/<name> with the same validation, charging, pooling and metrics as
-// the built-ins.
+// The set is closed: the server serves these five mechanisms, and their
+// requests and responses go through one hand-rolled codec.
 //
 // # Serving
 //
 // The library also ships as a long-lived, multi-tenant query service. The
-// cmd/dpserver binary mounts one endpoint per registered mechanism — POST
+// cmd/dpserver binary mounts one endpoint per built-in mechanism — POST
 // /v1/topk, /v1/svt, /v1/max, /v1/pipeline/topk and /v1/pipeline/svt — with
 // each tenant drawing from its own privacy budget (tracked by an Accountant
 // created on first use) and receiving a structured 402 budget_exhausted
@@ -243,7 +241,9 @@
 // appended. Request decode and response encode run through hand-rolled
 // streaming codecs over pooled buffers whose output is byte-identical to
 // encoding/json (golden tests pin every shape, including error envelopes
-// and ?trace=1 splices; unrepresentable shapes fall back to the stdlib).
+// and ?trace=1 splices). A response holding a non-finite float, which JSON
+// cannot represent, answers 500 internal_error; in a batch only that item
+// fails. Either way its ε stays spent.
 // Batch requests pre-size the noise requirement of every fixed-draw item —
 // topk and max below the lazy-sampling cutoff — fill it in one vectorized
 // pass, and hand each item its unit-scale window, bit-identical to
@@ -252,9 +252,8 @@
 //
 // Reads scale across cores too: a filter query's record scan shards the
 // dataset's storage blocks across a bounded worker pool — capped by
-// ServerConfig.ScanWorkers (cmd/dpserver -scan-workers; 0 means GOMAXPROCS,
-// 1 forces serial), by the surviving block count, and by a process-wide
-// token budget so overlapping queries cannot oversubscribe the machine.
+// GOMAXPROCS, by the surviving block count, and by a process-wide token
+// budget so overlapping queries cannot oversubscribe the machine.
 // Datasets below the serial-fallback threshold (4 storage blocks = 8192
 // records) never fan out, and a scan that cannot claim a token runs serial
 // rather than queue. Shards merge in deterministic order over exact

@@ -392,13 +392,11 @@ func RunSVTPipeline(src Source, answers []float64, cfg SVTPipelineConfig, acct *
 
 // Mechanism is one servable DP workload behind the engine's uniform
 // interface: Name, NewRequest, Validate, Cost and Execute. The server's
-// generic handler, the batch executor and the CLIs all dispatch on it, so
-// implementing Mechanism (and registering it) is all it takes to serve a
-// new workload.
+// generic handler, the batch executor and the CLIs all dispatch on it.
 type Mechanism = engine.Mechanism
 
-// MechanismRegistry maps mechanism names to implementations; the server
-// mounts one endpoint per registered name.
+// MechanismRegistry is the fixed table of the five built-in mechanisms,
+// looked up by name; the server mounts one endpoint per entry.
 type MechanismRegistry = engine.Registry
 
 // MechanismScratch holds the pooled request-scoped working memory a
@@ -501,10 +499,6 @@ type (
 	// PipelineSVTResponse is the pipeline/svt mechanism's response.
 	PipelineSVTResponse = engine.PipelineSVTResponse
 )
-
-// NewMechanismRegistry returns an empty mechanism registry for callers
-// assembling a custom set of workloads.
-func NewMechanismRegistry() *MechanismRegistry { return engine.NewRegistry() }
 
 // DefaultMechanisms returns a registry with every mechanism the library
 // serves: topk, max, svt, and the paper's end-to-end pipeline/topk and

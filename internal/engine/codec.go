@@ -17,9 +17,9 @@ package engine
 //     leaving primitives unchanged, integer fields rejecting
 //     fractions/exponents, and the same number grammar.
 //
-// Both directions cover only the built-in mechanism types; AppendResponse
-// and DecodeRequest report ok = false for anything else and the caller falls
-// back to encoding/json, so custom mechanisms keep working unchanged.
+// Both directions cover the five built-in mechanisms, the only ones the
+// library serves. AppendResponse and DecodeRequest report ok = false for
+// any other type; encoding/json stays only as the tests' reference.
 
 import (
 	"errors"
@@ -37,11 +37,6 @@ import (
 // callers map it to the same error message the stdlib-backed decoder used.
 var ErrTrailingData = errors.New("engine: trailing data after JSON value")
 
-// errNonFinite reports a float the JSON encoding cannot represent; the
-// caller falls back to encoding/json, which fails the same way it always
-// did.
-var errNonFinite = errors.New("engine: non-finite float in response")
-
 //
 // Encoding primitives — each replicates encoding/json's output exactly.
 //
@@ -52,10 +47,10 @@ const hexDigits = "0123456789abcdef"
 // AppendFloat appends f exactly as encoding/json renders a float64: shortest
 // decimal form, %f style within [1e-6, 1e21), %e style with a trimmed
 // single-digit exponent outside it. Non-finite floats error like
-// json.Marshal does.
+// json.Marshal does, naming the value.
 func AppendFloat(dst []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return dst, errNonFinite
+		return dst, fmt.Errorf("engine: non-finite float %v in response", f)
 	}
 	abs := math.Abs(f)
 	format := byte('f')
@@ -152,12 +147,11 @@ func appendIntField(dst []byte, name string, n int) []byte {
 // AppendResponse appends resp's JSON — byte-identical to json.Marshal — to
 // dst. traceOff is the byte offset (into out) where a `,"trace":<...>`
 // member may be spliced to produce exactly what json.Marshal would emit with
-// Billing.Trace set; it sits right after the budget_remaining value. ok
-// reports whether resp's concrete type has a codec — when false (a custom
-// mechanism's type, or a response already carrying an inline trace) the
-// caller must fall back to encoding/json. A non-nil err means the response
-// is unencodable (non-finite float) and the caller should fall back too, for
-// stdlib-identical error behaviour.
+// Billing.Trace set; it sits right after the budget_remaining value. ok is
+// false, and nothing is appended, for a type other than the five built-in
+// responses or for a response already carrying an inline trace. A non-nil
+// err means the response holds a non-finite float, which JSON cannot
+// represent.
 func AppendResponse(dst []byte, resp Response) (out []byte, traceOff int, ok bool, err error) {
 	switch r := resp.(type) {
 	case *TopKResponse:
@@ -378,10 +372,9 @@ func appendPipelineSVTResponse(dst []byte, r *PipelineSVTResponse) ([]byte, int,
 // strict semantics — json.Decoder + DisallowUnknownFields + the
 // one-value-per-body check — reusing scr's buffers when it is non-nil (the
 // returned request then aliases the scratch and must be consumed before the
-// scratch is reused). ok reports whether mech has a hand-rolled codec; when
-// false the caller must fall back to encoding/json. An empty body returns
-// io.EOF and a trailing second value returns ErrTrailingData, so callers can
-// keep their existing error mapping.
+// scratch is reused). ok is false for a mechanism other than the five
+// built-ins. An empty body returns io.EOF and a trailing second value
+// returns ErrTrailingData, so callers can keep their existing error mapping.
 func DecodeRequest(mech Mechanism, data []byte, scr *Scratch) (req Request, ok bool, err error) {
 	switch mech.(type) {
 	case topkMechanism:

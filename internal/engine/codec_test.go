@@ -106,8 +106,9 @@ func TestAppendResponseTraceSplice(t *testing.T) {
 	}
 }
 
-// TestAppendResponseFallbacks pins the fallback contract: inline traces and
-// non-finite floats must hand the response back to encoding/json.
+// TestAppendResponseFallbacks pins what the codec refuses: an inline trace
+// or an unknown type reports ok = false, and a non-finite float reports an
+// error, which the server turns into an internal_error.
 func TestAppendResponseFallbacks(t *testing.T) {
 	withTrace := &MaxResponse{}
 	withTrace.SetTrace("inline")

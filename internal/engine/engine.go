@@ -1,11 +1,12 @@
 // Package engine is the unified mechanism-execution layer between the
 // library's differentially private mechanisms and everything that serves
-// them. Each servable workload — the raw free-gap mechanisms and the paper's
-// end-to-end select–measure–refine pipelines alike — implements the one
-// Mechanism interface (Name, NewRequest, Validate, Cost, Execute) and is
-// looked up by name in a Registry, so a caller written once against the
-// interface (the HTTP server's generic handler, the CLIs, the batch
-// executor) serves every mechanism, present and future.
+// them. Each of the five servable workloads — the raw free-gap mechanisms
+// (topk, max, svt) and the paper's end-to-end select–measure–refine
+// pipelines (pipeline/topk, pipeline/svt) — implements the one Mechanism
+// interface (Name, NewRequest, Validate, Cost, Execute) and is looked up by
+// name in the fixed DefaultRegistry table, so a caller written once against
+// the interface (the HTTP server's generic handler, the CLIs, the batch
+// executor) serves every mechanism.
 //
 // The contract mirrors the serving layer's budget discipline:
 //
@@ -26,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"github.com/freegap/freegap/internal/core"
 	"github.com/freegap/freegap/internal/rng"
@@ -145,9 +145,10 @@ type Billing struct {
 	Trace any `json:"trace,omitempty"`
 }
 
-// SetTrace attaches an inline trace payload to the response. The serving
-// layer discovers it by interface assertion, so embedding Billing is all a
-// response type needs to support ?trace=1.
+// SetTrace attaches an inline trace payload to the response. The server
+// does not call it: it splices the ?trace=1 breakdown into the encoded
+// bytes at AppendResponse's traceOff, which yields what encoding/json
+// renders for the response with the trace set.
 func (b *Billing) SetTrace(t any) { b.Trace = t }
 
 // SetBilling fills the billing fields; it satisfies the Response interface
@@ -302,123 +303,47 @@ type UnitNoiser interface {
 	ExecuteUnitNoise(req Request, unit []float64, scr *Scratch) (Response, error)
 }
 
-// Registry maps mechanism names to implementations. It is safe for
-// concurrent use; registration normally happens once at startup.
+// Registry is the fixed table of the mechanisms the library serves, built
+// once by DefaultRegistry and never mutated, so it is safe for concurrent
+// use without a lock.
 type Registry struct {
-	mu     sync.RWMutex
 	byName map[string]Mechanism
-}
-
-// NewRegistry returns an empty mechanism registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]Mechanism)}
-}
-
-// maxMechanismNameLen bounds registered names; they become URL path
-// segments and metric label values.
-const maxMechanismNameLen = 64
-
-// validMechanismName enforces that a name is safe to embed verbatim in an
-// http.ServeMux pattern ("POST /v1/<name>") and a Prometheus label:
-// slash-separated non-empty segments of [a-z0-9._-]. Rejecting everything
-// else at registration keeps the serving layer's route mounting panic-free.
-func validMechanismName(name string) error {
-	if name == "" {
-		return errors.New("engine: mechanism has an empty name")
-	}
-	if len(name) > maxMechanismNameLen {
-		return fmt.Errorf("engine: mechanism name %q longer than %d bytes", name, maxMechanismNameLen)
-	}
-	segStart := 0
-	for i := 0; i <= len(name); i++ {
-		if i == len(name) || name[i] == '/' {
-			if i == segStart {
-				return fmt.Errorf("engine: mechanism name %q has an empty path segment", name)
-			}
-			segStart = i + 1
-			continue
-		}
-		c := name[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= '0' && c <= '9', c == '.', c == '_', c == '-':
-		default:
-			return fmt.Errorf("engine: mechanism name %q contains %q (allowed: a-z, 0-9, '.', '_', '-', '/')", name, c)
-		}
-	}
-	return nil
-}
-
-// Register adds m under its name, rejecting duplicates and names that are
-// not route- and label-safe (see validMechanismName).
-func (r *Registry) Register(m Mechanism) error {
-	name := m.Name()
-	if err := validMechanismName(name); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.byName[name]; ok {
-		return fmt.Errorf("engine: mechanism %q registered twice", name)
-	}
-	r.byName[name] = m
-	return nil
-}
-
-// MustRegister is Register for static setups known to be valid; it panics on
-// error.
-func (r *Registry) MustRegister(m Mechanism) {
-	if err := r.Register(m); err != nil {
-		panic(err)
-	}
+	names  []string // sorted
 }
 
 // Get returns the mechanism registered under name.
 func (r *Registry) Get(name string) (Mechanism, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	m, ok := r.byName[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q (valid: %v)", ErrUnknownMechanism, name, r.namesLocked())
+		return nil, fmt.Errorf("%w: %q (valid: %v)", ErrUnknownMechanism, name, r.names)
 	}
 	return m, nil
 }
 
 // Names returns the registered mechanism names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.namesLocked()
-}
+func (r *Registry) Names() []string { return append([]string(nil), r.names...) }
 
 // Mechanisms returns the registered mechanisms in name order.
 func (r *Registry) Mechanisms() []Mechanism {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Mechanism, 0, len(r.byName))
-	for _, name := range r.namesLocked() {
-		out = append(out, r.byName[name])
+	out := make([]Mechanism, len(r.names))
+	for i, name := range r.names {
+		out[i] = r.byName[name]
 	}
 	return out
 }
 
-func (r *Registry) namesLocked() []string {
-	out := make([]string, 0, len(r.byName))
-	for name := range r.byName {
-		out = append(out, name)
+// defaultRegistry is the table DefaultRegistry returns.
+var defaultRegistry = func() *Registry {
+	r := &Registry{byName: make(map[string]Mechanism)}
+	for _, m := range []Mechanism{topkMechanism{}, maxMechanism{}, svtMechanism{}, pipelineTopKMechanism{}, pipelineSVTMechanism{}} {
+		r.byName[m.Name()] = m
+		r.names = append(r.names, m.Name())
 	}
-	sort.Strings(out)
-	return out
-}
+	sort.Strings(r.names)
+	return r
+}()
 
-// DefaultRegistry returns a registry with every mechanism the library
+// DefaultRegistry returns the registry of every mechanism the library
 // serves: the three raw free-gap mechanisms (topk, max, svt) and the
 // paper's two end-to-end pipelines (pipeline/topk, pipeline/svt).
-func DefaultRegistry() *Registry {
-	r := NewRegistry()
-	r.MustRegister(topkMechanism{})
-	r.MustRegister(maxMechanism{})
-	r.MustRegister(svtMechanism{})
-	r.MustRegister(pipelineTopKMechanism{})
-	r.MustRegister(pipelineSVTMechanism{})
-	return r
-}
+func DefaultRegistry() *Registry { return defaultRegistry }

@@ -742,4 +742,7 @@ func TestPlanCacheEpochFlush(t *testing.T) {
 	if pc.Len() == 0 {
 		t.Error("cache empty after fills")
 	}
+	if got := pc.Flushes(); got != 1 {
+		t.Errorf("Flushes = %d, want 1", got)
+	}
 }

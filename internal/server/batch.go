@@ -8,9 +8,7 @@ package server
 // could, no matter how many batches race for the budget concurrently.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -69,12 +67,11 @@ func (s *Server) serveBatch(w *traceWriter, r *http.Request) string {
 	items := make([]batchItem, len(req.Requests))
 	charges := make([]accountant.Charge, len(req.Requests))
 	lim := s.limits()
+	mechs := engine.DefaultRegistry()
 	for i, entry := range req.Requests {
-		// The construction-time snapshot, not the live registry: a batch may
-		// name exactly the mechanisms that have endpoints mounted.
-		mech, ok := s.mechByName[entry.Mechanism]
-		if !ok {
-			return badRequest(w, fmt.Errorf("requests[%d]: unknown mechanism %q (valid: %v)", i, entry.Mechanism, s.mechNames))
+		mech, err := mechs.Get(entry.Mechanism)
+		if err != nil {
+			return badRequest(w, fmt.Errorf("requests[%d]: unknown mechanism %q (valid: %v)", i, entry.Mechanism, mechs.Names()))
 		}
 		if len(entry.Request) == 0 {
 			return badRequest(w, fmt.Errorf("requests[%d]: missing request body", i))
@@ -82,18 +79,14 @@ func (s *Server) serveBatch(w *traceWriter, r *http.Request) string {
 		// Items decode with a nil scratch on purpose: one scratch hosts one
 		// request value per type, and a batch holds many requests of the
 		// same type concurrently.
-		mreq, cok, cerr := engine.DecodeRequest(mech, entry.Request, nil)
-		if !cok {
-			mreq = mech.NewRequest()
-			cerr = decodeStrictJSON(entry.Request, mreq)
-			if cerr != nil {
-				return badRequest(w, fmt.Errorf("requests[%d]: %v", i, cerr))
-			}
-		} else if cerr != nil {
-			if errors.Is(cerr, engine.ErrTrailingData) {
-				return badRequest(w, fmt.Errorf("requests[%d]: request holds more than one JSON value", i))
-			}
-			return badRequest(w, fmt.Errorf("requests[%d]: decoding request: %v", i, cerr))
+		mreq, ok, err := engine.DecodeRequest(mech, entry.Request, nil)
+		switch {
+		case !ok:
+			return internalError(w, fmt.Errorf("requests[%d]: no codec for mechanism %q", i, mech.Name()))
+		case errors.Is(err, engine.ErrTrailingData):
+			return badRequest(w, fmt.Errorf("requests[%d]: request holds more than one JSON value", i))
+		case err != nil:
+			return badRequest(w, fmt.Errorf("requests[%d]: decoding request: %v", i, err))
 		}
 		// The batch tenant pays for every item; an item naming a different
 		// tenant is almost certainly a client bug, so reject it loudly
@@ -221,59 +214,42 @@ func (s *Server) serveBatch(w *traceWriter, r *http.Request) string {
 		EpsilonSpent:    total,
 		BudgetRemaining: remaining,
 	}
-	s.writeBatchResponse(w, &resp)
+	outcome := s.writeBatchResponse(w, &resp)
 	for _, scr := range scratches {
 		if scr != nil {
 			putScratch(scr)
 		}
 	}
-	return "ok"
+	return outcome
 }
 
 // writeBatchResponse encodes the batch response through the zero-copy codecs
-// into a pooled buffer and writes it once. Trace is the response's last
-// field, so a ?trace=1 breakdown — rendered after the real encode it has to
-// account for — is appended before the closing brace instead of re-encoding
-// the whole batch. Any item without a hand-rolled codec sends the entire
-// response through encoding/json instead.
-func (s *Server) writeBatchResponse(w *traceWriter, resp *BatchResponse) {
+// into a pooled buffer and writes it once, returning the outcome code. Trace
+// is the response's last field, so a ?trace=1 breakdown — rendered after the
+// real encode it has to account for — is appended before the closing brace
+// instead of re-encoding the whole batch.
+func (s *Server) writeBatchResponse(w *traceWriter, resp *BatchResponse) string {
 	scr := scratchPool.Get().(*engine.Scratch)
 	defer putScratch(scr)
 	out, ok := appendBatchResponse(scr.Out[:0], resp)
 	scr.Out = out
 	if !ok {
-		if w.traceOn {
-			var buf bytes.Buffer
-			_ = json.NewEncoder(&buf).Encode(resp)
-			w.mark(stageEncode)
-			resp.Trace = w.traceJSON()
-			writeJSON(w, http.StatusOK, resp)
-		} else {
-			writeJSON(w, http.StatusOK, resp)
-			w.mark(stageEncode)
-		}
-		return
+		return internalError(w, errors.New("encoding batch response: a value has no JSON encoding"))
 	}
 	if !w.traceOn {
 		out = append(out, '\n')
 		scr.Out = out
 		writeRawJSON(w, http.StatusOK, out)
 		w.mark(stageEncode)
-		return
+		return "ok"
 	}
 	w.mark(stageEncode)
 	out = out[:len(out)-1] // reopen the object: trace is the last field
-	out = append(out, `,"trace":`...)
-	tb, tok := appendTraceJSON(out, w.traceJSON())
-	if !tok {
-		// Defensive only (trace floats are finite): re-encode via stdlib.
-		resp.Trace = w.traceJSON()
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	out = append(tb, '}', '\n')
+	out, _ = appendTraceJSON(append(out, `,"trace":`...), w.traceJSON())
+	out = append(out, '}', '\n')
 	scr.Out = out
 	writeRawJSON(w, http.StatusOK, out)
+	return "ok"
 }
 
 // batchExecError maps a pool submission failure to a per-item error body.
@@ -286,18 +262,4 @@ func batchExecError(err error) *ErrorBody {
 	default:
 		return &ErrorBody{Code: CodeInternal, Message: err.Error()}
 	}
-}
-
-// decodeStrictJSON parses raw into dst with the same strictness as the HTTP
-// body decoder: unknown fields and trailing values are errors.
-func decodeStrictJSON(raw json.RawMessage, dst any) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("decoding request: %v", err)
-	}
-	if dec.More() {
-		return errors.New("request holds more than one JSON value")
-	}
-	return nil
 }

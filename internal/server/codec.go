@@ -5,8 +5,7 @@ package server
 // engine's append-style codec primitives. Together with engine.AppendResponse
 // they keep the steady-state hot path free of reflection-based encoding:
 // every response is appended into a pooled buffer and written once. Output is
-// byte-identical to encoding/json (pinned by TestServerCodecGolden); any
-// shape the codecs cannot represent falls back to encoding/json.
+// byte-identical to encoding/json (pinned by TestServerCodecGolden).
 
 import (
 	"strconv"
@@ -52,9 +51,9 @@ func appendErrorEnvelope(dst []byte, body *ErrorBody) ([]byte, bool) {
 	return append(dst, '}'), true
 }
 
-// appendTraceJSON appends tr, byte-identical to json.Marshal(tr). Stage
-// durations are finite by construction (time subtractions), so the float
-// fallback path is defensive only.
+// appendTraceJSON appends tr, byte-identical to json.Marshal(tr). It reports
+// false only for a non-finite float, which stage durations (whole
+// nanoseconds) never are, so the handlers ignore the boolean.
 func appendTraceJSON(dst []byte, tr *TraceJSON) ([]byte, bool) {
 	var err error
 	dst = append(dst, `{"request_id":`...)
@@ -92,10 +91,12 @@ func appendTraceJSON(dst []byte, tr *TraceJSON) ([]byte, bool) {
 
 // appendBatchResponse appends resp without its Trace field, byte-identical
 // to json.Marshal of the trace-less response, without a trailing newline.
-// The returned boolean reports whether every item response had a hand-rolled
-// codec; on false the caller must fall back to encoding/json for the whole
-// batch. Because Trace is the struct's last field, a ?trace=1 caller splices
-// it by appending `,"trace":...` before the final '}'.
+// An item response holding a float JSON cannot represent becomes, in resp
+// and on the wire, an internal_error for that item alone. The returned
+// boolean is false when some value has no encoding at all: an item response
+// without an engine codec, or a non-finite batch total. Because Trace is the
+// struct's last field, a ?trace=1 caller splices it by appending
+// `,"trace":...` before the final '}'.
 func appendBatchResponse(dst []byte, resp *BatchResponse) ([]byte, bool) {
 	var err error
 	dst = append(dst, `{"tenant":`...)
@@ -117,10 +118,16 @@ func appendBatchResponse(dst []byte, resp *BatchResponse) ([]byte, bool) {
 				if !ok {
 					return dst, false
 				}
+				start := len(dst)
 				dst = append(dst, `,"response":`...)
 				var encOK bool
-				if dst, _, encOK, err = engine.AppendResponse(dst, eresp); !encOK || err != nil {
+				if dst, _, encOK, err = engine.AppendResponse(dst, eresp); !encOK {
 					return dst, false
+				}
+				if err != nil {
+					dst = dst[:start]
+					res.Response = nil
+					res.Error = &ErrorBody{Code: CodeInternal, Message: err.Error()}
 				}
 			}
 			if res.Error != nil {

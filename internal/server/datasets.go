@@ -66,10 +66,7 @@ func (r storeResolver) Resolve(name string, spec *engine.QuerySpec) ([]float64, 
 // feeding the plan-cache and skipping observables. The spec was validated
 // by ResolveRequest (or the explain handler) before this point.
 func (s *Server) resolvePlan(e *store.Entry, spec *engine.QuerySpec) (*plan.Result, error) {
-	res, err := plan.Resolve(s.datasets, e, spec, plan.Options{
-		NoSkip:  s.cfg.DisableQuerySkipping,
-		Workers: s.cfg.ScanWorkers,
-	})
+	res, err := plan.Resolve(s.datasets, e, spec, plan.Options{NoSkip: s.cfg.DisableQuerySkipping})
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -39,7 +38,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:        "ok",
 		Tenants:       s.reg.Len(),
 		Workers:       s.cfg.Workers,
-		Mechanisms:    s.mechNames,
+		Mechanisms:    engine.DefaultRegistry().Names(),
 		Datasets:      s.datasets.Len(),
 		UptimeSeconds: time.Since(s.started).Seconds(),
 	}
@@ -217,8 +216,7 @@ func (s *Server) serveMechanism(w *traceWriter, r *http.Request, mech engine.Mec
 	w.mark(stageExecute)
 
 	resp.SetBilling(tenant, cost, remaining)
-	s.writeResponse(w, resp, scr)
-	return "ok"
+	return s.writeResponse(w, resp, scr)
 }
 
 // readBody reads the request body into the scratch under the configured size
@@ -250,27 +248,15 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, scr *engine.Sc
 	}
 }
 
-// decodeRequest parses the body bytes in scr into a request for mech: the
-// built-in mechanisms go through the engine's hand-rolled codec (the request
-// then aliases the scratch), custom mechanisms fall back to the stdlib strict
-// decoder over the same bytes. Either way the semantics — unknown fields and
-// trailing values rejected — and the error messages clients see are the ones
-// the stdlib-backed decoder produced.
+// decodeRequest parses the body bytes in scr into a request for mech
+// through the engine codec; the request then aliases the scratch. The
+// semantics — unknown fields and trailing values rejected — and the error
+// messages clients see are those of the stdlib strict decoder.
 func (s *Server) decodeRequest(w http.ResponseWriter, mech engine.Mechanism, scr *engine.Scratch) (engine.Request, string, bool) {
 	req, ok, err := engine.DecodeRequest(mech, scr.Body, scr)
-	if !ok {
-		req = mech.NewRequest()
-		dec := json.NewDecoder(bytes.NewReader(scr.Body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(req); err != nil {
-			return nil, badRequest(w, fmt.Errorf("decoding JSON body: %v", err)), false
-		}
-		if dec.More() {
-			return nil, badRequest(w, errors.New("request body holds more than one JSON value")), false
-		}
-		return req, "", true
-	}
 	switch {
+	case !ok:
+		return nil, internalError(w, fmt.Errorf("no codec for mechanism %q", mech.Name())), false
 	case err == nil:
 		return req, "", true
 	case errors.Is(err, engine.ErrTrailingData):
@@ -281,59 +267,42 @@ func (s *Server) decodeRequest(w http.ResponseWriter, mech engine.Mechanism, scr
 }
 
 // writeResponse encodes resp through the zero-copy codec into the scratch's
-// output buffer and writes it once. A ?trace=1 request gets the breakdown
-// spliced into the already-encoded bytes at the offset AppendResponse
-// reserved — the encode the trace reports is the encode that shipped, not a
-// dry run. Responses without a codec fall back to encoding/json.
-func (s *Server) writeResponse(t *traceWriter, resp engine.Response, scr *engine.Scratch) {
+// output buffer and writes it once, returning the outcome code. A ?trace=1
+// request gets the breakdown spliced into the already-encoded bytes at the
+// offset AppendResponse reserved — the encode the trace reports is the
+// encode that shipped, not a dry run. A response JSON cannot represent (a
+// non-finite float) is a 500 internal_error. Its charge stays spent: the
+// failure is a function of the mechanism's noisy output, which the charge
+// already covers.
+func (s *Server) writeResponse(t *traceWriter, resp engine.Response, scr *engine.Scratch) string {
 	out, off, ok, err := engine.AppendResponse(scr.Out[:0], resp)
 	scr.Out = out
-	if !ok || err != nil {
-		if t.traceOn {
-			writeTraced(t, resp)
-			return
-		}
-		writeJSON(t, http.StatusOK, resp)
-		t.mark(stageEncode)
-		return
+	if !ok {
+		err = fmt.Errorf("no codec for response type %T", resp)
+	}
+	if err != nil {
+		return internalError(t, err)
 	}
 	out = append(out, '\n')
 	scr.Out = out
 	if !t.traceOn {
 		writeRawJSON(t, http.StatusOK, out)
 		t.mark(stageEncode)
-		return
+		return "ok"
 	}
 	// The bytes above are the real encode; close the stage before rendering
 	// the breakdown so the trace accounts for it.
 	t.mark(stageEncode)
 	// The body buffer is free once decoding is done (decoded strings are
 	// heap copies), so it backs the trace splice.
-	tb, tok := appendTraceJSON(append(scr.Body[:0], `,"trace":`...), t.traceJSON())
+	tb, _ := appendTraceJSON(append(scr.Body[:0], `,"trace":`...), t.traceJSON())
 	scr.Body = tb[:0]
-	if !tok {
-		writeTraced(t, resp)
-		return
-	}
 	t.Header().Set("Content-Type", "application/json")
 	t.WriteHeader(http.StatusOK)
 	_, _ = t.Write(out[:off])
 	_, _ = t.Write(tb)
 	_, _ = t.Write(out[off:])
-}
-
-// writeTraced serves the ?trace=1 path: it measures a dry-run encode of the
-// response so the encode stage can be reported inside the very trace it
-// times, attaches the breakdown, and writes the response for real. The
-// stage durations sum exactly to the reported total by construction.
-func writeTraced(w *traceWriter, resp engine.Response) {
-	var buf bytes.Buffer
-	_ = json.NewEncoder(&buf).Encode(resp)
-	w.mark(stageEncode)
-	if t, ok := resp.(interface{ SetTrace(any) }); ok {
-		t.SetTrace(w.traceJSON())
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return "ok"
 }
 
 // handleUnknownMechanism serves every POST under /v1/ that no mechanism or
@@ -349,7 +318,7 @@ func (s *Server) handleUnknownMechanism(w http.ResponseWriter, r *http.Request) 
 	name := strings.TrimPrefix(r.URL.Path, "/v1/")
 	writeError(t, http.StatusNotFound, ErrorBody{
 		Code:    CodeUnknownMechanism,
-		Message: fmt.Sprintf("unknown mechanism %q (valid: %v, batch)", name, s.mechNames),
+		Message: fmt.Sprintf("unknown mechanism %q (valid: %v, batch)", name, engine.DefaultRegistry().Names()),
 	})
 	s.finishTrace(t, "unknown", CodeUnknownMechanism)
 }

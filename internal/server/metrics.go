@@ -84,7 +84,7 @@ func (s *Server) sampleScrapeGauges() {
 		g.Set(ts.remaining)
 		s.tenantGauges[ts.tenant] = g
 	}
-	// The plan caches count their capacity sweeps per dataset; the scrape sums
+	// The plan caches count their capacity resets per dataset; the scrape sums
 	// them and publishes the delta through a Counter. Removing a dataset can
 	// shrink the sum — the guard just skips publishing until it catches back
 	// up, keeping the exposition a true counter.

@@ -33,10 +33,10 @@
 // charging. This is the paper's trust model: the curator holds the
 // transaction database and answers counting queries under DP.
 //
-// The mechanism endpoints are not hand-written: the server walks the engine
-// registry and mounts one generic handler (decode → validate → charge →
-// pool-execute → encode) per registered mechanism, so registering a new
-// engine.Mechanism is all it takes to serve a new workload.
+// The mechanism endpoints are not hand-written: the server walks the
+// engine's fixed table of the five built-in mechanisms and mounts one
+// generic handler (decode → validate → charge → pool-execute → encode) per
+// entry, and every request decodes and encodes through the engine codec.
 //
 // Each tenant is provisioned a fresh accountant with the configured initial ε
 // budget on first use; every request charges it atomically before the
@@ -115,13 +115,6 @@ type Config struct {
 	// MaxBatch bounds the number of requests per POST /v1/batch (default
 	// DefaultMaxBatch).
 	MaxBatch int
-	// Mechanisms is the engine registry to serve (default
-	// engine.DefaultRegistry()). Callers embedding the server can register
-	// their own engine.Mechanism implementations and have them served and
-	// metered like the built-ins. Register everything before calling New:
-	// routes and hot-path counters are mounted once at construction, so
-	// later registrations are not served.
-	Mechanisms *engine.Registry
 	// Datasets is the server-side dataset catalog that dataset-backed
 	// requests resolve against and the /v1/datasets endpoints manage
 	// (default an empty store.New()). Supply a store built with
@@ -157,13 +150,6 @@ type Config struct {
 	// skipping win and as a plain-scan reference when diagnosing suspected
 	// skipping issues.
 	DisableQuerySkipping bool
-	// ScanWorkers caps the per-query worker fan-out of block-parallel filter
-	// scans: 0 (the default) lets each scan use up to GOMAXPROCS workers, 1
-	// forces every scan serial. Results are byte-identical at any setting —
-	// the knob trades intra-query latency against cross-query throughput on
-	// loaded servers. Scans over fewer than plan.DefaultMinParallelRecords
-	// surviving records stay serial regardless.
-	ScanWorkers int
 	// Persist, when set, makes the privacy-critical state durable: the
 	// server restores per-tenant spent budgets and the dataset catalog from
 	// the log at construction, journals every admitted charge and dataset
@@ -173,12 +159,6 @@ type Config struct {
 	// Open the log with persist.Open on the state directory.
 	Persist *persist.Log
 }
-
-// reservedMechanismNames are engine names New rejects: "batch", "tenants",
-// "datasets" and "monitors" because their /v1/<name> routes are taken by
-// fixed endpoints, and "unknown" because it is the pinned metric label for
-// unknown-mechanism 404s.
-var reservedMechanismNames = map[string]bool{"batch": true, "tenants": true, "datasets": true, "monitors": true, "unknown": true}
 
 func (c Config) withDefaults() (Config, error) {
 	if c.TenantBudget == 0 {
@@ -217,12 +197,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MaxBatch < 0 {
 		return c, fmt.Errorf("server: max batch %d must be positive", c.MaxBatch)
 	}
-	if c.ScanWorkers < 0 {
-		return c, fmt.Errorf("server: scan workers %d must be non-negative", c.ScanWorkers)
-	}
-	if c.Mechanisms == nil {
-		c.Mechanisms = engine.DefaultRegistry()
-	}
 	if c.Datasets == nil {
 		c.Datasets = store.New()
 	}
@@ -257,17 +231,9 @@ func randomSeed() (uint64, error) {
 
 // Server is the multi-tenant DP query service.
 type Server struct {
-	cfg    Config
-	engine *engine.Registry
-	// mechNames and mechByName are the construction-time snapshot of the
-	// engine registry: the mechanisms that actually have routes mounted.
-	// healthz, the unknown-mechanism error and the batch executor all use
-	// the snapshot, not the live registry, so every surface serves exactly
-	// the same mechanism set and never advertises one that would 404.
-	mechNames  []string
-	mechByName map[string]engine.Mechanism
-	reg        *Registry
-	datasets   *store.Store
+	cfg      Config
+	reg      *Registry
+	datasets *store.Store
 	// datasetHot caches the per-dataset resolution counter (dataset name →
 	// *telemetry.Counter) so the resolve path pays one atomic add instead of
 	// a registry lookup; entries are added as datasets are registered.
@@ -413,21 +379,8 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 	}
-	mechs := cfg.Mechanisms.Mechanisms()
-	names := make([]string, 0, len(mechs))
-	byName := make(map[string]engine.Mechanism, len(mechs))
-	for _, mech := range mechs {
-		if reservedMechanismNames[mech.Name()] {
-			return fail(fmt.Errorf("server: mechanism name %q is reserved for a fixed endpoint", mech.Name()))
-		}
-		names = append(names, mech.Name())
-		byName[mech.Name()] = mech
-	}
 	s := &Server{
 		cfg:           cfg,
-		engine:        cfg.Mechanisms,
-		mechNames:     names,
-		mechByName:    byName,
 		reg:           reg,
 		datasets:      cfg.Datasets,
 		pool:          newWorkerPool(cfg.Workers, cfg.Seed),
@@ -469,7 +422,7 @@ func New(cfg Config) (*Server, error) {
 	s.telemetry.Help("freegap_monitors", "Registered SVT threshold monitors, retired ones included.")
 	s.telemetry.Help("freegap_monitor_verdicts_total", "Threshold-monitor verdicts released across all monitors.")
 	s.telemetry.Help("freegap_monitor_subscribers_dropped_total", "SSE monitor subscribers disconnected because their verdict buffer was full.")
-	s.telemetry.Help("freegap_plan_cache_flushes_total", "Compiled-plan cache capacity sweeps across all datasets (full resets excluded).")
+	s.telemetry.Help("freegap_plan_cache_flushes_total", "Compiled-plan caches emptied because they reached capacity, across all datasets.")
 	s.telemetry.FloatGauge("freegap_build_info",
 		telemetry.L("version", Version), telemetry.L("go_version", runtime.Version())).Set(1)
 	s.planFlushTotal = s.telemetry.Counter("freegap_plan_cache_flushes_total")
@@ -493,7 +446,7 @@ func New(cfg Config) (*Server, error) {
 			ObserveCompaction: compact.Observe,
 		})
 	}
-	s.hot = newHotCounters(s.telemetry, s.mechNames)
+	s.hot = newHotCounters(s.telemetry, engine.DefaultRegistry().Names())
 	// Seed the dataset telemetry with whatever the caller already catalogued,
 	// then rebuild the journalled datasets and apply the preloads.
 	for _, name := range s.datasets.Names() {
@@ -552,7 +505,7 @@ func New(cfg Config) (*Server, error) {
 }
 
 // routes mounts the fixed endpoints and one generic mechanism handler per
-// engine registry entry. Literal patterns take precedence over the trailing
+// built-in mechanism. Literal patterns take precedence over the trailing
 // "POST /v1/" subtree pattern, which only exists to turn every unknown name
 // — single-segment or namespaced — into a structured 404.
 func (s *Server) routes() {
@@ -568,8 +521,8 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/monitors", s.handleMonitorList)
 	s.mux.HandleFunc("GET /v1/monitors/{id}", s.handleMonitorGet)
 	s.mux.HandleFunc("GET /v1/monitors/{id}/stream", s.handleMonitorStream)
-	for _, name := range s.mechNames {
-		s.mux.Handle("POST /v1/"+name, s.handleMechanism(s.mechByName[name]))
+	for _, mech := range engine.DefaultRegistry().Mechanisms() {
+		s.mux.Handle("POST /v1/"+mech.Name(), s.handleMechanism(mech))
 	}
 	s.mux.HandleFunc("POST /v1/", s.handleUnknownMechanism)
 	if s.cfg.Debug {
@@ -596,11 +549,6 @@ func (s *Server) Registry() *Registry { return s.reg }
 // server (the /v1/datasets endpoint, Config.Preload, or RegisterDataset) get
 // a per-dataset telemetry series.
 func (s *Server) Datasets() *store.Store { return s.datasets }
-
-// Mechanisms exposes the engine registry the server dispatches on. Routes
-// are mounted once at construction, so registering into it after New does
-// not add endpoints — assemble the registry before calling New.
-func (s *Server) Mechanisms() *engine.Registry { return s.engine }
 
 // Config returns the effective configuration after defaulting.
 func (s *Server) Config() Config { return s.cfg }

@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/freegap/freegap/internal/engine"
 	"github.com/freegap/freegap/internal/rng"
 )
 
@@ -617,30 +616,6 @@ func TestPipelineEndpoints(t *testing.T) {
 	}
 }
 
-// renamedMechanism wraps a mechanism under a different registry name.
-type renamedMechanism struct {
-	engine.Mechanism
-	name string
-}
-
-func (m renamedMechanism) Name() string { return m.name }
-
-func TestNewRejectsReservedMechanismNames(t *testing.T) {
-	base, err := engine.DefaultRegistry().Get("max")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"batch", "tenants", "unknown"} {
-		reg := engine.NewRegistry()
-		if err := reg.Register(renamedMechanism{base, name}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := New(Config{Mechanisms: reg}); err == nil {
-			t.Errorf("New accepted a registry with the reserved name %q", name)
-		}
-	}
-}
-
 // TestUnknownNamespacedMechanismGets404 pins the structured 404 for
 // multi-segment names outside the built-in pipeline/ namespace: custom
 // registries may mount namespaced mechanisms, so typos there must get the
@@ -954,5 +929,68 @@ func TestBudgetLogOptIn(t *testing.T) {
 	}
 	if math.Abs(logSum-budget.Spent) > 1e-9 {
 		t.Errorf("Σ log = %v, spent = %v", logSum, budget.Spent)
+	}
+}
+
+// TestNonFiniteResponseIsInternalError pins what happens to a release JSON
+// cannot represent. Answers spanning the float range make the noisy gap
+// overflow to +Inf. The request then answers 500 internal_error naming the
+// value, and its ε stays spent: the failure is a function of the noisy
+// output, so the charge already covers it. In a batch only that item fails
+// and the others are released.
+func TestNonFiniteResponseIsInternalError(t *testing.T) {
+	s, ts := newTestServer(t, Config{TenantBudget: 10})
+	huge := Common{Tenant: "t", Epsilon: 1, Answers: []float64{1.7e308, -1.7e308}}
+	cases := []struct {
+		path string
+		req  any
+	}{
+		{"/v1/topk", TopKRequest{Common: huge, K: 1}},
+		{"/v1/topk?trace=1", TopKRequest{Common: huge, K: 1}},
+		{"/v1/max", MaxRequest{Common: huge}},
+		{"/v1/pipeline/topk", PipelineTopKRequest{Common: huge, K: 1}},
+	}
+	for i, tc := range cases {
+		resp, data := postJSON(t, ts.URL+tc.path, tc.req)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("%s: status = %d, body = %q", tc.path, resp.StatusCode, data)
+		}
+		env := decodeInto[ErrorEnvelope](t, data)
+		if env.Error.Code != CodeInternal || !strings.Contains(env.Error.Message, "non-finite float +Inf") {
+			t.Errorf("%s: error = %+v, want %s naming +Inf", tc.path, env.Error, CodeInternal)
+		}
+		acct, _ := s.Registry().Lookup("t")
+		if got, want := acct.Spent(), float64(i+1); got != want {
+			t.Errorf("%s: spent = %v, want %v", tc.path, got, want)
+		}
+	}
+
+	huge.Tenant = ""
+	resp, data := postJSON(t, ts.URL+"/v1/batch", batchBody(t, "b",
+		"topk", TopKRequest{Common: huge, K: 1},
+		"max", MaxRequest{Common: Common{Epsilon: 1, Answers: testAnswers, Monotonic: true}},
+	))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status = %d, body = %q", resp.StatusCode, data)
+	}
+	out := decodeInto[struct {
+		Results []struct {
+			Response json.RawMessage `json:"response"`
+			Error    *ErrorBody      `json:"error"`
+		} `json:"results"`
+		EpsilonSpent float64 `json:"epsilon_spent"`
+	}](t, data)
+	if len(out.Results) != 2 {
+		t.Fatalf("batch: %d results, want 2: %s", len(out.Results), data)
+	}
+	if bad := out.Results[0]; bad.Response != nil || bad.Error == nil || bad.Error.Code != CodeInternal ||
+		!strings.Contains(bad.Error.Message, "non-finite float +Inf") {
+		t.Errorf("batch item 0 = %s, want an internal_error naming +Inf", data)
+	}
+	if good := out.Results[1]; good.Response == nil || good.Error != nil {
+		t.Errorf("batch item 1 = %s, want a released response", data)
+	}
+	if out.EpsilonSpent != 2 {
+		t.Errorf("batch epsilon_spent = %v, want 2", out.EpsilonSpent)
 	}
 }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"slices"
 	"sync"
@@ -157,52 +156,6 @@ func TestExtendZonesMatchesFromScratchBuild(t *testing.T) {
 		if !reflect.DeepEqual(z, BuildZones(base)) {
 			t.Errorf("split %d: ExtendZones mutated the old generation's sketches", split)
 		}
-	}
-}
-
-func TestPlanCacheSecondChanceSweep(t *testing.T) {
-	c := newPlanCache(new(planCounters), 0)
-	for i := 0; i < DefaultMaxPlans; i++ {
-		c.Put(fmt.Sprintf("k%d", i), &PlanEntry{})
-	}
-	if got := c.Len(); got != DefaultMaxPlans {
-		t.Fatalf("Len = %d, want %d", got, DefaultMaxPlans)
-	}
-	// Touch a working set; the capacity sweep must keep it.
-	for i := 0; i < 10; i++ {
-		if _, ok := c.Get(fmt.Sprintf("k%d", i)); !ok {
-			t.Fatalf("k%d missing before sweep", i)
-		}
-	}
-	c.Put("overflow", &PlanEntry{})
-	if got := c.Flushes(); got != 1 {
-		t.Errorf("Flushes = %d, want 1", got)
-	}
-	if got := c.Len(); got != 11 {
-		t.Errorf("Len after sweep = %d, want 11 (10 hot survivors + the new entry)", got)
-	}
-	for i := 0; i < 10; i++ {
-		if _, ok := c.Get(fmt.Sprintf("k%d", i)); !ok {
-			t.Errorf("hot entry k%d evicted by the sweep", i)
-		}
-	}
-	if _, ok := c.Get("k200"); ok {
-		t.Error("cold entry survived the sweep")
-	}
-
-	// The protected set is capped: a sweep with everything hot must not keep
-	// the whole generation (that would just defer the same wholesale flush).
-	full := newPlanCache(new(planCounters), 0)
-	for i := 0; i < DefaultMaxPlans; i++ {
-		key := fmt.Sprintf("k%d", i)
-		full.Put(key, &PlanEntry{})
-	}
-	for i := 0; i < DefaultMaxPlans; i++ {
-		full.Get(fmt.Sprintf("k%d", i))
-	}
-	full.Put("overflow", &PlanEntry{})
-	if got := full.Len(); got != maxProtectedPlans+1 {
-		t.Errorf("Len after all-hot sweep = %d, want %d", got, maxProtectedPlans+1)
 	}
 }
 

@@ -29,17 +29,10 @@ import (
 )
 
 // DefaultMaxPlans bounds one dataset's cached plans. When the cache is full
-// a new plan triggers a second-chance sweep: plans that served a hit since
-// the last sweep survive (up to maxProtectedPlans of them), the rest are
-// dropped — so one client cycling syntactic spec variants cannot evict every
-// other tenant's hot plans, while memory stays bounded. Flushes counts the
-// sweeps, surfaced as plan_cache_flushes_total so thrash is observable.
+// a new plan empties it and starts it afresh, so memory stays bounded.
+// Flushes counts these resets, surfaced as plan_cache_flushes_total so
+// thrash is observable.
 const DefaultMaxPlans = 256
-
-// maxProtectedPlans caps how many recently-hit plans a second-chance sweep
-// carries over: half the capacity, so even a fully hot cache frees room and
-// repeated sweeps cannot pin an unbounded working set.
-const maxProtectedPlans = DefaultMaxPlans / 2
 
 // PlanEntry is one cached compiled plan: the materialized full-universe
 // count vector, its monotonicity, and the planner's explain payload (opaque
@@ -55,20 +48,11 @@ type PlanEntry struct {
 	// records is the record count of the generation Answers was evaluated
 	// against, stamped by Put.
 	records int
-	// hot is set on a hit or a reuse and cleared by the second-chance sweep
-	// — the one bit of bookkeeping that lets eviction keep the working set.
-	hot atomic.Bool
 }
 
 // Records returns the record count of the data generation the entry was
 // evaluated against: Answers covers exactly the first Records records.
 func (pe *PlanEntry) Records() int { return pe.records }
-
-func (pe *PlanEntry) markHot() {
-	if !pe.hot.Load() {
-		pe.hot.Store(true)
-	}
-}
 
 // planMap is one immutable snapshot of a cache's key → plan mapping.
 type planMap = map[string]*PlanEntry
@@ -117,12 +101,10 @@ func (c *PlanCache) lookup(key string) (*PlanEntry, bool) {
 
 // Get returns the plan cached under key for exactly this generation,
 // counting the lookup as a hit or a miss. An entry carried from an earlier
-// generation is a miss. It takes no lock. A hit marks the entry as recently
-// used, so the next capacity sweep keeps it.
+// generation is a miss. It takes no lock.
 func (c *PlanCache) Get(key string) (*PlanEntry, bool) {
 	if pe, ok := c.lookup(key); ok && pe.records == c.records {
 		c.counters.hits.Add(1)
-		pe.markHot()
 		return pe, true
 	}
 	c.counters.misses.Add(1)
@@ -133,22 +115,16 @@ func (c *PlanCache) Get(key string) (*PlanEntry, bool) {
 // it: this one, or an earlier one whose Records is smaller. Its vector is
 // exact for the first Records records, so a caller that knows how to extend
 // it by the later records need not rescan the earlier ones. It moves no
-// hit/miss counter, but marks the entry as recently used.
+// hit/miss counter.
 func (c *PlanCache) Reusable(key string) (*PlanEntry, bool) {
-	pe, ok := c.lookup(key)
-	if ok {
-		pe.markHot()
-	}
-	return pe, ok
+	return c.lookup(key)
 }
 
 // Put stamps pe with this generation's record count and caches it under
 // key, replacing any entry carried from an earlier generation. A full cache
-// runs a second-chance sweep first: plans that served a hit or a reuse since
-// the last sweep survive, capped at maxProtectedPlans, and their hot bits
-// reset so survival must be re-earned. Concurrent puts of the same key are
-// idempotent — both vectors describe this cache's data generation, and the
-// later put wins.
+// is emptied first, and then holds pe alone. Concurrent puts of the same key
+// are idempotent — both vectors describe this cache's data generation, and
+// the later put wins.
 func (c *PlanCache) Put(key string, pe *PlanEntry) {
 	pe.records = c.records
 	c.writeMu.Lock()
@@ -158,20 +134,8 @@ func (c *PlanCache) Put(key string, pe *PlanEntry) {
 		cur = *m
 	}
 	if len(cur) >= DefaultMaxPlans {
-		next := make(planMap, maxProtectedPlans+1)
-		for k, v := range cur {
-			if len(next) >= maxProtectedPlans {
-				break
-			}
-			if v.hot.Load() {
-				v.hot.Store(false)
-				next[k] = v
-			}
-		}
-		next[key] = pe
+		cur = nil
 		c.counters.flushes.Add(1)
-		c.plans.Store(&next)
-		return
 	}
 	next := make(planMap, len(cur)+1)
 	for k, v := range cur {
@@ -193,8 +157,8 @@ func (c *PlanCache) Len() int {
 func (c *PlanCache) Hits() uint64   { return c.counters.hits.Load() }
 func (c *PlanCache) Misses() uint64 { return c.counters.misses.Load() }
 
-// Flushes returns how many capacity sweeps the entry's caches have run — the
-// observable behind the plan_cache_flushes_total metric.
+// Flushes returns how many times the entry's caches were emptied on reaching
+// capacity — the observable behind the plan_cache_flushes_total metric.
 func (c *PlanCache) Flushes() uint64 { return c.counters.flushes.Load() }
 
 // Reset drops every cached plan (the counters keep running). Benchmarks use
