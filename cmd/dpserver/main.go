@@ -99,7 +99,7 @@ func parseConfig(args []string) (options, error) {
 		maxBody    = fs.Int64("max-body", 0, "maximum request body bytes (0 = default)")
 		maxTenants = fs.Int("max-tenants", 0, "maximum auto-provisioned tenants (0 = default)")
 		stateDir   = fs.String("state-dir", "", "directory for durable state (WAL + snapshots); empty = in-memory only, a restart refunds all spent budget")
-		noSkip     = fs.Bool("no-query-skipping", false, "disable data skipping (zone-sketch length ranges, item posting lists): composite filter queries scan every record block (results are identical either way)")
+		noSkip     = fs.Bool("no-query-skipping", false, "disable data skipping (zone-sketch length ranges, item posting lists, the record-length table): composite filter queries scan every record block (results are identical either way)")
 		fsyncMode  = fs.String("fsync", "batch", "WAL durability: batch (group fsync off the hot path), always (fsync per charge), off")
 		debug      = fs.Bool("debug", false, "mount /debug/pprof and runtime gauges on /metrics")
 		accessLog  = fs.Bool("access-log", false, "log one structured JSON record per request to stderr")

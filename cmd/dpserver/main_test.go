@@ -143,6 +143,12 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if err := run(context.Background(), []string{"-budget", "-1"}, os.Stdout); err == nil {
 		t.Error("negative budget accepted")
 	}
+	// Cancelled up front, so a server that wrongly starts shuts down at once.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := run(ctx, []string{"-addr", "127.0.0.1:0", "-budget", "Inf"}, os.Stdout); err == nil {
+		t.Error("infinite budget accepted")
+	}
 	if err := run(context.Background(), []string{"-addr", "host:notaport"}, os.Stdout); err == nil {
 		t.Error("unlistenable address accepted")
 	}

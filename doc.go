@@ -143,8 +143,15 @@
 // on the rarest item's list, and none of a block where an item's list is
 // empty. An item's postings are built by the first scan that names it and
 // extended over the blocks appends seal; registration and appends build
-// none, and the postings take O(occurrences of the items queried). Appending
-// ?explain=1 to a mechanism endpoint returns the compiled plan, uncharged.
+// none, and the postings take O(occurrences of the items queried). A
+// length-only filter (no `contains`) adds the rows of its length range from
+// the dataset's record-length count table (per record length and item, the
+// records of that length holding the item) and scans only the blocks after
+// the table, normally the partial tail. The first such filter tallies the
+// full blocks into the table, later ones extend it over the blocks appends
+// seal, and it is built only while it holds no more counters than the item
+// occurrences it covers. Appending ?explain=1 to a mechanism endpoint
+// returns the compiled plan, uncharged.
 // Specs in the monotone fragment (all_items, item_count, filter, union,
 // intersect) have sensitivity 1 and keep the halved noise scale. threshold,
 // minus and join are served at the standard scale for sensitivity 1, but one

@@ -103,8 +103,8 @@ type Charge struct {
 
 // New creates an accountant with the given total ε budget.
 func New(budget float64) (*Accountant, error) {
-	if !(budget > 0) {
-		return nil, fmt.Errorf("accountant: budget %v must be positive", budget)
+	if !(budget > 0) || math.IsInf(budget, 1) {
+		return nil, fmt.Errorf("accountant: budget %v must be positive and finite", budget)
 	}
 	return &Accountant{budget: budget, byLabel: make(map[string]float64, 8)}, nil
 }

@@ -18,6 +18,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(math.NaN()); err == nil {
 		t.Fatal("NaN budget accepted")
 	}
+	if _, err := New(math.Inf(1)); err == nil {
+		t.Fatal("infinite budget accepted")
+	}
 	a, err := New(1.5)
 	if err != nil {
 		t.Fatal(err)

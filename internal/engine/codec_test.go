@@ -92,11 +92,9 @@ func TestAppendResponseTraceSplice(t *testing.T) {
 		spliced.Write(traceJSON)
 		spliced.Write(out[off:])
 
-		// The stdlib reference with the trace attached. SetTrace mutates the
-		// shared value, so reset it afterwards.
-		resp.(interface{ SetTrace(any) }).SetTrace(trace)
+		// The stdlib reference with the trace set on the embedded Billing.
+		reflect.ValueOf(resp).Elem().FieldByName("Billing").Addr().Interface().(*Billing).Trace = trace
 		want, err := json.Marshal(resp)
-		resp.(interface{ SetTrace(any) }).SetTrace(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,8 +108,7 @@ func TestAppendResponseTraceSplice(t *testing.T) {
 // or an unknown type reports ok = false, and a non-finite float reports an
 // error, which the server turns into an internal_error.
 func TestAppendResponseFallbacks(t *testing.T) {
-	withTrace := &MaxResponse{}
-	withTrace.SetTrace("inline")
+	withTrace := &MaxResponse{Billing: Billing{Trace: "inline"}}
 	if _, _, ok, _ := AppendResponse(nil, withTrace); ok {
 		t.Error("response with an inline trace must fall back to encoding/json")
 	}

@@ -140,16 +140,12 @@ type Billing struct {
 	EpsilonSpent float64 `json:"epsilon_spent"`
 	// BudgetRemaining is the tenant's unspent budget after this request.
 	BudgetRemaining float64 `json:"budget_remaining"`
-	// Trace carries the serving layer's stage-timing breakdown when the
-	// client opted in with ?trace=1; nil (and omitted) otherwise.
+	// Trace is an inline trace payload, omitted when nil. The server leaves
+	// it nil: it splices the ?trace=1 stage-timing breakdown into the
+	// encoded bytes at AppendResponse's traceOff, which yields what
+	// encoding/json renders for the response with Trace set.
 	Trace any `json:"trace,omitempty"`
 }
-
-// SetTrace attaches an inline trace payload to the response. The server
-// does not call it: it splices the ?trace=1 breakdown into the encoded
-// bytes at AppendResponse's traceOff, which yields what encoding/json
-// renders for the response with the trace set.
-func (b *Billing) SetTrace(t any) { b.Trace = t }
 
 // SetBilling fills the billing fields; it satisfies the Response interface
 // for every response type embedding Billing.

@@ -5,7 +5,8 @@ package plan
 // (group-by item); leaves read the arena's cached column, filters scan the
 // flat storage blocks under zone-sketch and item-posting skipping — or, when
 // the plan cache holds the filter's vector from an earlier generation, only
-// the records appended since — and composites fold their operands
+// the records appended since, and for a length-only filter, only the blocks
+// after the entry's record-length table — and composites fold their operands
 // elementwise in greedy (cheapest-first) order. Subtrees shared between branches evaluate once —
 // the memo keyed by (dataset, canon) turns the tree into a DAG. Returned child vectors are never mutated: every
 // operator folds into its own freshly allocated output, so a leaf can hand
@@ -33,10 +34,11 @@ const DefaultMinParallelRecords = 4 * dataset.BlockRecords
 
 // Options tunes one resolution.
 type Options struct {
-	// NoSkip disables data skipping — the zone sketches' length ranges and
-	// the item postings `contains` filters walk (and build) — so every
+	// NoSkip disables data skipping — the zone sketches' length ranges, the
+	// item postings `contains` filters walk (and build) and the
+	// record-length table length-only filters read (and build) — so every
 	// filter scans every record. Results are identical either way: skipping
-	// only elides records proven unmatching.
+	// only elides records proven unmatching, and the table is exact.
 	NoSkip bool
 	// NoCache bypasses the compiled-plan cache: lookup, fill, and the reuse
 	// of cached filter vectors that a filter scan extends by the records
@@ -64,8 +66,13 @@ type Stats struct {
 	// RecordsReused counts records whose contribution filter nodes took from
 	// a cached filter vector instead of scanning them.
 	RecordsReused int
+	// RecordsIndexed counts records whose contribution length-only filter
+	// nodes took from the entry's record-length table instead of scanning
+	// them: whole blocks, which an earlier resolution tallied.
+	RecordsIndexed int
 	// RecordsScanned counts the records of the blocks filter scans read,
-	// whole or along a posting list.
+	// whole or along a posting list, including the blocks a filter tallied
+	// into the record-length table (unless their zone sketch skips them).
 	RecordsScanned int
 	// RecordsSkipped counts the records of the blocks filter scans skipped:
 	// by a zone sketch's length range, or by an item's empty posting list.
@@ -97,8 +104,9 @@ type Result struct {
 
 // Explain is the ?explain=1 payload: the compiled plan and what evaluating
 // it cost. ReusedRecords counts the records covered by cached filter vectors
-// the plan extended instead of rescanning; RecordsScanned and RecordsSkipped
-// cover only the records after them.
+// the plan extended instead of rescanning, and RecordsIndexed those whose
+// counts length-only filters read from the record-length table;
+// RecordsScanned and RecordsSkipped cover the rest.
 type Explain struct {
 	Dataset        string `json:"dataset"`
 	Canonical      string `json:"canonical"`
@@ -109,6 +117,7 @@ type Explain struct {
 	SketchBlocks   int    `json:"sketch_blocks"`
 	RecordsTotal   int    `json:"records_total"`
 	ReusedRecords  int    `json:"reused_records"`
+	RecordsIndexed int    `json:"records_indexed"`
 	RecordsScanned int    `json:"records_scanned"`
 	RecordsSkipped int    `json:"records_skipped"`
 	BlocksSkipped  int    `json:"blocks_skipped"`
@@ -187,6 +196,7 @@ func Resolve(cat Catalog, e *store.Entry, spec *engine.QuerySpec, opts Options) 
 		SketchBlocks:    v.Arena().Zones().NumBlocks(),
 		RecordsTotal:    v.Dataset().NumRecords(),
 		ReusedRecords:   ctx.stats.RecordsReused,
+		RecordsIndexed:  ctx.stats.RecordsIndexed,
 		RecordsScanned:  ctx.stats.RecordsScanned,
 		RecordsSkipped:  ctx.stats.RecordsSkipped,
 		BlocksSkipped:   ctx.stats.BlocksSkipped,
@@ -493,6 +503,13 @@ func (r *blockRun) pick(l []uint16) bool {
 // for later resolutions: the first time an item is named, a scan of every
 // block; after appends, the blocks sealed since.
 //
+// A length-only filter (no `contains` item) with no carried vector instead
+// adds its length range's rows of the entry's record-length table, which
+// counts the full blocks, and scans only the blocks after them: normally the
+// partial tail. It first extends the table over the full blocks it misses,
+// which count as scanned, or as skipped where their zone sketch proves them
+// unmatching, as the plain scan would count them.
+//
 // Surviving blocks are sharded across a bounded worker fan-out when their
 // records clear Options.MinParallelRecords; each worker scans a disjoint
 // contiguous run of blocks (building those blocks' lists) into its own
@@ -546,6 +563,21 @@ func (c *evalCtx) filterScan(e *store.Entry, n *node) []float64 {
 	var runs []blockRun
 	scanned, visits, skipped := 0, 0, 0
 	first := reused / dataset.BlockRecords
+	if skip && pe == nil && len(n.contains) == 0 {
+		if t, counted := e.LengthCounts(v); t != nil {
+			t.AddRange(out, n.minLen, n.maxLen)
+			first = t.Covered()
+			c.stats.RecordsIndexed += counted * dataset.BlockRecords
+			for b := counted; b < first; b++ {
+				if zones.SkipBlock(b, n.minLen, n.maxLen) {
+					c.stats.BlocksSkipped++
+					skipped += dataset.BlockRecords
+				} else {
+					scanned += dataset.BlockRecords
+				}
+			}
+		}
+	}
 	hi := lo // the scan builds lists for blocks [lo, hi), the full blocks from lo it reads in a row
 	for b := first; b < db.NumBlocks(); b++ {
 		run := blockRun{blk: db.Block(b)}

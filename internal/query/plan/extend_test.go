@@ -172,8 +172,10 @@ func checkAgainstBypassAndNaive(t *testing.T, s *store.Store, e *store.Entry, wa
 // older than the one current when the resolution started (so no generation
 // serves another's vector), and a resolution that extended a cached vector
 // must have started from a real generation's record count. One resolver
-// bypasses the cache, so it keeps walking and building item postings while
-// appends seal blocks.
+// bypasses the cache, so it keeps walking and building item postings, and
+// reading and extending the record-length table, while appends seal blocks;
+// the records its table counted must be whole blocks full in the generation
+// it served.
 func TestFilterExtensionRacesAppends(t *testing.T) {
 	const appends = 40
 	r := rand.New(rand.NewSource(16))
@@ -277,9 +279,14 @@ func TestFilterExtensionRacesAppends(t *testing.T) {
 						t.Errorf("%s over generation %d extended a vector covering %d records, no generation's count", Canonical(f), g, m)
 						return
 					}
-					if st.RecordsReused+st.RecordsScanned+st.RecordsSkipped != records[g] {
-						t.Errorf("%s over generation %d: reused %d + scanned %d + skipped %d records, want %d",
-							Canonical(f), g, st.RecordsReused, st.RecordsScanned, st.RecordsSkipped, records[g])
+					if st.RecordsReused+st.RecordsIndexed+st.RecordsScanned+st.RecordsSkipped != records[g] {
+						t.Errorf("%s over generation %d: reused %d + indexed %d + scanned %d + skipped %d records, want %d",
+							Canonical(f), g, st.RecordsReused, st.RecordsIndexed, st.RecordsScanned, st.RecordsSkipped, records[g])
+						return
+					}
+					if x := st.RecordsIndexed; x%dataset.BlockRecords != 0 || x > records[g]/dataset.BlockRecords*dataset.BlockRecords {
+						t.Errorf("%s over generation %d: indexed %d records, not whole blocks full in its %d records",
+							Canonical(f), g, x, records[g])
 						return
 					}
 				}

@@ -35,7 +35,11 @@
 //     full block only the records on its rarest item's list, and none of a
 //     block where an item's list is empty. An item's postings are built by
 //     the first scan that names it, extended over blocks appends seal, and
-//     shared by every generation.
+//     shared by every generation. A length-only filter with no carried
+//     vector reads the full blocks from the dataset's record-length count
+//     table instead (the rows of its length range: per item, the records of
+//     each length that hold it) and scans only the blocks after the table;
+//     the table is built and extended the same way.
 package plan
 
 import (

@@ -506,6 +506,49 @@ func TestSkippingClustered(t *testing.T) {
 	checkDifferential(t, w, "clustered", lenSpec)
 }
 
+// TestLengthTableServesFullBlocks pins what the record-length table saves:
+// the first length-only filter over the Zipf dataset's 3 full blocks
+// tallies them into the table and counts them as scanned, and the second,
+// with another length range, reads them from the table and scans the
+// partial tail alone. A generation pinned before an append sealed its tail
+// block cannot read the table extended over that block, so it scans.
+func TestLengthTableServesFullBlocks(t *testing.T) {
+	w := newTestWorld(t)
+	e := w.entry(t, "zipf")
+	total, tail := w.raw["zipf"].NumRecords(), w.raw["zipf"].NumRecords()%dataset.BlockRecords
+	for i, c := range []struct{ indexed, scanned int }{{0, total}, {total - tail, tail}} {
+		res, err := Resolve(w.store, e, filterSpec(2+i, 0), Options{NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := res.Stats; st.RecordsIndexed != c.indexed || st.RecordsScanned != c.scanned || res.Explain.RecordsIndexed != c.indexed {
+			t.Errorf("resolution %d: indexed %d (explain %d), scanned %d; want %d, %d",
+				i+1, st.RecordsIndexed, res.Explain.RecordsIndexed, st.RecordsScanned, c.indexed, c.scanned)
+		}
+		checkDifferential(t, w, "zipf", filterSpec(2+i, 0))
+	}
+
+	old := e.View()
+	if _, err := w.store.Append("zipf", zipfRecords(dataset.BlockRecords)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Resolve(w.store, e, filterSpec(0, 3), Options{NoCache: true}); err != nil {
+		t.Fatal(err)
+	}
+	spec := filterSpec(0, 3)
+	want, err := naiveEval(nil, old.Dataset(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &evalCtx{opts: Options{NoCache: true}, memo: map[string][]float64{}, views: map[*store.Entry]store.View{e: old}}
+	if got := c.filterScan(e, normalize(spec)); !vecEqual(got, want) {
+		t.Errorf("the pinned generation's scan = %v, want %v", got, want)
+	}
+	if st := c.stats; st.RecordsIndexed != 0 || st.RecordsScanned+st.RecordsSkipped != total {
+		t.Errorf("pinned generation: indexed %d, scanned %d + skipped %d; want 0 and %d", st.RecordsIndexed, st.RecordsScanned, st.RecordsSkipped, total)
+	}
+}
+
 func TestAdversarialUnselective(t *testing.T) {
 	w := newTestWorld(t)
 	e := w.entry(t, "uniform")

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -307,9 +308,12 @@ func BenchmarkServerTopKPersist(b *testing.B) {
 // denominator of the ≥5× skipping claim); "unselective" is the adversarial
 // shape where every record matches and a posting walk can only lose to a
 // plain scan; "zipf" is the paper's shape, where every block holds the item
-// in a few records and the walk reads only those. "cold" resets the plan
-// cache every iteration so each request compiles and scans (the item
-// postings, built by the first iteration, stay); "warm" serves the cached
+// in a few records and the walk reads only those. "zipf-length" intersects
+// that item filter with a length-only filter at the median record length,
+// which adds the rows of the record-length table and scans only the
+// partial tail block. "cold" resets the plan cache every iteration so each
+// request compiles and scans (the item postings and the record-length
+// table, built by the first iteration, stay); "warm" serves the cached
 // vector — the compiled-plan cache hit path.
 func BenchmarkServerFilteredQuery(b *testing.B) {
 	const blocks = 32
@@ -339,8 +343,15 @@ func BenchmarkServerFilteredQuery(b *testing.B) {
 	for i := range zipf {
 		zipf[i] = pos.Record(i)
 	}
-	zipfBody := []byte(fmt.Sprintf(`{"tenant":"bench","epsilon":0.1,"k":5,"dataset":"blocks","queries":{"kind":"filter","where":{"contains":[%d]}}}`,
-		dataset.TopKItems(pos.ItemCounts(), 20)[19]))
+	item := dataset.TopKItems(pos.ItemCounts(), 20)[19]
+	zipfBody := []byte(fmt.Sprintf(`{"tenant":"bench","epsilon":0.1,"k":5,"dataset":"blocks","queries":{"kind":"filter","where":{"contains":[%d]}}}`, item))
+	lengths := make([]int, len(zipf))
+	for i, rec := range zipf {
+		lengths[i] = len(rec)
+	}
+	slices.Sort(lengths)
+	zipfLengthBody := []byte(fmt.Sprintf(`{"tenant":"bench","epsilon":0.1,"k":5,"dataset":"blocks","queries":{"kind":"intersect","of":[`+
+		`{"kind":"filter","where":{"contains":[%d]}},{"kind":"filter","where":{"min_len":%d}}]}}`, item, lengths[len(lengths)/2]))
 
 	run := func(b *testing.B, cfg Config, recs [][]int32, body []byte, cold bool) {
 		s := mustServer(b, cfg)
@@ -389,6 +400,7 @@ func BenchmarkServerFilteredQuery(b *testing.B) {
 	b.Run("selective/warm", func(b *testing.B) { run(b, base, clustered, selectiveBody, false) })
 	b.Run("unselective/cold", func(b *testing.B) { run(b, base, uniform, unselectiveBody, true) })
 	b.Run("zipf/cold", func(b *testing.B) { run(b, base, zipf, zipfBody, true) })
+	b.Run("zipf-length/cold", func(b *testing.B) { run(b, base, zipf, zipfLengthBody, true) })
 }
 
 // BenchmarkDatasetAppend measures the streaming-ingest path: one small FIMI

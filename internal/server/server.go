@@ -54,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -144,9 +145,10 @@ type Config struct {
 	// disables slow-request logging.
 	SlowRequestThreshold time.Duration
 	// DisableQuerySkipping turns off data skipping in composite filter
-	// queries — the zone sketches' length ranges and the item postings that
-	// `contains` filters walk — so every filter scans every record. Results
-	// are byte-identical either way; the switch exists for benchmarking the
+	// queries — the zone sketches' length ranges, the item postings that
+	// `contains` filters walk and the record-length table that length-only
+	// filters read — so every filter scans every record. Results are
+	// byte-identical either way; the switch exists for benchmarking the
 	// skipping win and as a plain-scan reference when diagnosing suspected
 	// skipping issues.
 	DisableQuerySkipping bool
@@ -164,8 +166,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.TenantBudget == 0 {
 		c.TenantBudget = DefaultTenantBudget
 	}
-	if !(c.TenantBudget > 0) {
-		return c, fmt.Errorf("server: tenant budget %v must be positive", c.TenantBudget)
+	if !(c.TenantBudget > 0) || math.IsInf(c.TenantBudget, 1) {
+		return c, fmt.Errorf("server: tenant budget %v must be positive and finite", c.TenantBudget)
 	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)

@@ -367,6 +367,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	for _, cfg := range []Config{
 		{TenantBudget: -1},
+		{TenantBudget: math.Inf(1)},
 		{Workers: -2},
 		{MaxAnswers: -1},
 		{MaxBodyBytes: -1},
@@ -394,6 +395,9 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := NewRegistry(0, 0); err == nil {
 		t.Error("NewRegistry(0, 0) succeeded, want error")
+	}
+	if _, err := NewRegistry(math.Inf(1), 0); err == nil {
+		t.Error("NewRegistry(+Inf, 0) succeeded, want error")
 	}
 	if _, err := NewRegistry(1, -1); err == nil {
 		t.Error("NewRegistry(1, -1) succeeded, want error")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sync"
 
@@ -50,8 +51,8 @@ type ChargeJournal interface {
 // given initial ε budget. maxTenants caps how many tenants may be
 // auto-provisioned; zero means unlimited.
 func NewRegistry(initialBudget float64, maxTenants int) (*Registry, error) {
-	if !(initialBudget > 0) {
-		return nil, fmt.Errorf("server: tenant budget %v must be positive", initialBudget)
+	if !(initialBudget > 0) || math.IsInf(initialBudget, 1) {
+		return nil, fmt.Errorf("server: tenant budget %v must be positive and finite", initialBudget)
 	}
 	if maxTenants < 0 {
 		return nil, fmt.Errorf("server: max tenants %d must not be negative", maxTenants)

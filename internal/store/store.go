@@ -12,8 +12,9 @@
 // always see a consistent dataset and the zero-per-request-rescan property
 // survives streaming ingestion. The item postings `contains` filters walk
 // are built by the filter scans themselves, per item on first use
-// (postings.go); registration and appends build none. This is the curator
-// trust model of the paper: the server holds the data and answers
+// (postings.go), and so is the record-length table length-only filters
+// read (lengths.go); registration and appends build neither. This is the
+// curator trust model of the paper: the server holds the data and answers
 // sensitivity-1 counting queries under DP, instead of clients shipping
 // precomputed answers with every request.
 package store
@@ -147,6 +148,10 @@ type Entry struct {
 	// over full storage blocks, which every generation shares.
 	postings postingIndex
 
+	// lengths is the record-length count table length-only filters read,
+	// over a prefix of the full storage blocks (nil until the first one).
+	lengths atomic.Pointer[LengthCounts]
+
 	// planCounters are the lifetime hit/miss/flush totals of every
 	// generation's plan cache.
 	planCounters planCounters
@@ -217,14 +222,16 @@ type Info struct {
 	// RecordsSkipped counts the records of blocks filter scans skipped
 	// entirely: a zone sketch's length range or an item's empty posting list
 	// (or an item absent from the dataset) proved them unmatching. A block a
-	// filter walks by its posting list counts as scanned.
+	// filter walks by its posting list counts as scanned, and one it reads
+	// from the record-length table counts as neither.
 	RecordsSkipped uint64 `json:"records_skipped"`
 	// Resolutions counts query resolutions served from the cached counts.
 	Resolutions uint64 `json:"resolutions"`
 	// CountScans counts count-vector materialisations: the registration scan
-	// plus one per filter node that had to scan every record on a plan-cache
-	// miss. Extending a carried filter vector by the records appended since
-	// does not count. It stays at 1 however many requests resolve from the
+	// plus one per filter node evaluated on a plan-cache miss with no carried
+	// vector to extend, however many records skipping, postings or the
+	// record-length table spared it. Extending a carried filter vector by
+	// the records appended since does not count. It stays at 1 however many requests resolve from the
 	// cached counts or the plan cache.
 	CountScans uint64 `json:"count_scans"`
 	// CreatedAt is the registration time.
