@@ -34,6 +34,12 @@ func ReadFIMI(r io.Reader, name string) (*Transactions, error) {
 
 // ReadFIMILimited is ReadFIMI with input limits enforced during the parse,
 // for callers reading untrusted data (the dpserver upload endpoint).
+//
+// A line made only of ASCII digits, spaces, tabs and CRs, with no id past
+// the limits, is parsed byte by byte with no allocation of its own. Every
+// other line (a sign, a Unicode space, a letter, an id out of range) takes
+// the general TrimSpace/Fields/Atoi path, so both paths accept the same
+// input and report the same errors.
 func ReadFIMILimited(r io.Reader, name string, lim FIMILimits) (*Transactions, error) {
 	scanner := bufio.NewScanner(r)
 	// Start small and let the scanner grow toward the 16 MiB line cap on
@@ -51,37 +57,37 @@ func ReadFIMILimited(r io.Reader, name string, lim FIMILimits) (*Transactions, e
 		t.blocks = append(t.blocks, &Block{items: slices.Clone(items), ends: slices.Clone(ends)})
 		items, ends = items[:0], ends[:0]
 	}
+	maxID := int32(math.MaxInt32)
+	if lim.MaxItemID > 0 {
+		maxID = lim.MaxItemID
+	}
 	line := 0
 	for scanner.Scan() {
 		line++
-		text := strings.TrimSpace(scanner.Text())
-		if text == "" {
-			continue
-		}
-		if lim.MaxRecords > 0 && t.records >= lim.MaxRecords {
-			return nil, fmt.Errorf("dataset: line %d: more than %d records", line, lim.MaxRecords)
-		}
-		for _, f := range strings.Fields(text) {
-			v, err := strconv.Atoi(f)
-			if err != nil {
-				return nil, fmt.Errorf("dataset: line %d: invalid item %q: %w", line, f, err)
+		start := len(items)
+		var (
+			top   int32
+			plain bool
+			err   error
+		)
+		if items, top, plain = appendPlain(items, scanner.Bytes(), maxID); plain {
+			if len(items) == start {
+				continue // blank
 			}
-			if v < 0 {
-				return nil, fmt.Errorf("dataset: line %d: negative item id %d", line, v)
+			if lim.MaxRecords > 0 && t.records >= lim.MaxRecords {
+				return nil, fmt.Errorf("dataset: line %d: more than %d records", line, lim.MaxRecords)
 			}
-			// Item ids are int32 throughout; without this check an id above
-			// MaxInt32 would silently overflow negative in the conversion
-			// below and panic the Transactions constructor (found by
-			// FuzzReadFIMI).
-			if v > math.MaxInt32 {
-				return nil, fmt.Errorf("dataset: line %d: item id %d exceeds the int32 range", line, v)
+			t.items = max(t.items, int(top)+1)
+		} else {
+			text := strings.TrimSpace(scanner.Text())
+			if text == "" {
+				continue
 			}
-			if lim.MaxItemID > 0 && v > int(lim.MaxItemID) {
-				return nil, fmt.Errorf("dataset: line %d: item id %d exceeds the limit of %d", line, v, lim.MaxItemID)
+			if lim.MaxRecords > 0 && t.records >= lim.MaxRecords {
+				return nil, fmt.Errorf("dataset: line %d: more than %d records", line, lim.MaxRecords)
 			}
-			items = append(items, int32(v))
-			if v >= t.items {
-				t.items = v + 1
+			if items, err = t.appendFields(items, text, line, lim); err != nil {
+				return nil, err
 			}
 		}
 		if uint64(len(items)) > math.MaxUint32 {
@@ -100,6 +106,68 @@ func ReadFIMILimited(r io.Reader, name string, lim FIMILimits) (*Transactions, e
 		seal()
 	}
 	return t, nil
+}
+
+// appendPlain appends the ids of a line made only of ASCII digits, spaces,
+// tabs and CRs, none of them above maxID, and returns the largest (-1 for a
+// blank line). For any other line it returns items unchanged and plain
+// false.
+func appendPlain(items []int32, line []byte, maxID int32) (_ []int32, top int32, plain bool) {
+	start := len(items)
+	top = -1
+	for i := 0; i < len(line); {
+		c := line[i]
+		if c == ' ' || c == '\t' || c == '\r' {
+			i++
+			continue
+		}
+		if c-'0' >= 10 {
+			return items[:start], 0, false
+		}
+		// Up to 18 digits cannot overflow v; a longer run (an id padded
+		// with zeros) takes the general path.
+		j := i + 1
+		v := int64(c - '0')
+		for ; j < len(line) && line[j]-'0' < 10; j++ {
+			v = v*10 + int64(line[j]-'0')
+		}
+		if j-i > 18 || v > int64(maxID) {
+			return items[:start], 0, false
+		}
+		items = append(items, int32(v))
+		top = max(top, int32(v))
+		i = j
+	}
+	return items, top, true
+}
+
+// appendFields appends the ids of one trimmed, non-blank line, checking each
+// against the int32 range and the limits.
+func (t *Transactions) appendFields(items []int32, text string, line int, lim FIMILimits) ([]int32, error) {
+	for _, f := range strings.Fields(text) {
+		v, err := strconv.Atoi(f)
+		if err != nil {
+			return nil, fmt.Errorf("dataset: line %d: invalid item %q: %w", line, f, err)
+		}
+		if v < 0 {
+			return nil, fmt.Errorf("dataset: line %d: negative item id %d", line, v)
+		}
+		// Item ids are int32 throughout; without this check an id above
+		// MaxInt32 would silently overflow negative in the conversion
+		// below and panic the Transactions constructor (found by
+		// FuzzReadFIMI).
+		if v > math.MaxInt32 {
+			return nil, fmt.Errorf("dataset: line %d: item id %d exceeds the int32 range", line, v)
+		}
+		if lim.MaxItemID > 0 && v > int(lim.MaxItemID) {
+			return nil, fmt.Errorf("dataset: line %d: item id %d exceeds the limit of %d", line, v, lim.MaxItemID)
+		}
+		items = append(items, int32(v))
+		if v >= t.items {
+			t.items = v + 1
+		}
+	}
+	return items, nil
 }
 
 // ReadFIMIFile opens path and parses it with ReadFIMI, naming the dataset

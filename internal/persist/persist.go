@@ -18,7 +18,11 @@
 //     records and on clean Close; after a snapshot the WAL is truncated.
 //   - datasets/<name>.fimi — one FIMI-format blob per registered dataset;
 //     WAL/snapshot records reference the blob so replay can rebuild the
-//     transactions (and recompute the item-count vector exactly once).
+//     transactions (and recompute the item-count vector exactly once). A
+//     Blob is written to a temp file in datasets/ — an upload tees the text
+//     it parses into it, SaveDatasetBlob streams WriteFIMI — and committed
+//     (fsync, rename, directory sync) before the record that references
+//     it. Open removes the temps a crash leaves behind.
 //
 // Appends go through an in-memory buffer drained by a background flusher, so
 // the request hot path never waits on fsync (Options.Fsync FsyncBatch); the
@@ -42,6 +46,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -402,6 +407,12 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, err
 	}
 	l.lock = lock
+	// A crash while a blob was written leaves its temp behind, up to an
+	// upload's size each. Only this process may write here now.
+	if err := removeBlobTemps(filepath.Join(dir, datasetDirName)); err != nil {
+		l.unlock()
+		return nil, err
+	}
 
 	snapGen, err := l.loadSnapshot()
 	if err != nil {
@@ -1078,25 +1089,110 @@ func (l *Log) compactIO() {
 	l.mu.Unlock()
 }
 
-// SaveDatasetBlob persists db as a FIMI blob under the state directory and
-// returns the DatasetRecord.File value referencing it. The blob is written
-// atomically and (unless fsync is off) synced before the function returns,
-// so a subsequent AppendDataset never references a file that might vanish.
-func (l *Log) SaveDatasetBlob(name string, db *dataset.Transactions) (string, error) {
-	rel := datasetDirName + "/" + name + ".fimi"
-	abs := filepath.Join(l.dir, datasetDirName, name+".fimi")
-	var buf bytes.Buffer
-	if err := dataset.WriteFIMI(&buf, db); err != nil {
-		return "", fmt.Errorf("persist: encoding dataset blob %q: %w", name, err)
+// Blob is a dataset blob being written: a temp file in the state
+// directory's datasets/ folder, installed as <name>.fimi by Commit or
+// removed by Abort. Open removes the temps a crash leaves behind; no WAL or
+// snapshot record ever references one. A Blob is not safe for concurrent
+// use.
+type Blob struct {
+	l   *Log
+	f   *os.File
+	err error // the first failure, which Commit reports
+}
+
+// NewBlob starts a blob. Its writes never fail: the first error is kept,
+// later writes are dropped, and Commit reports it, so an upload can tee the
+// text it parses into a blob and tell a disk fault from a client one.
+func (l *Log) NewBlob() *Blob {
+	f, err := os.CreateTemp(filepath.Join(l.dir, datasetDirName), "*.tmp")
+	if err != nil {
+		err = fmt.Errorf("persist: creating dataset blob: %w", err)
 	}
-	if err := writeFileSync(abs+".tmp", buf.Bytes(), l.opts.Fsync != FsyncOff); err != nil {
-		return "", err
+	return &Blob{l: l, f: f, err: err}
+}
+
+// Write appends p to the blob; see NewBlob for its errors.
+func (b *Blob) Write(p []byte) (int, error) {
+	if b.err == nil {
+		if _, err := b.f.Write(p); err != nil {
+			b.err = fmt.Errorf("persist: writing dataset blob: %w", err)
+		}
 	}
-	if err := os.Rename(abs+".tmp", abs); err != nil {
+	return len(p), nil
+}
+
+// Commit installs the blob as datasets/<name>.fimi and returns the
+// DatasetRecord.File value referencing it. The file is synced (unless fsync
+// is off), renamed into place and its directory synced before Commit
+// returns, so a subsequent AppendDataset never references a file that
+// might vanish. On failure the temp is removed.
+func (b *Blob) Commit(name string) (string, error) {
+	if b.err != nil {
+		b.Abort()
+		return "", b.err
+	}
+	if b.f == nil {
+		return "", errors.New("persist: dataset blob already closed")
+	}
+	f, tmp := b.f, b.f.Name()
+	b.f = nil
+	dir := filepath.Join(b.l.dir, datasetDirName)
+	var err error
+	if b.l.opts.Fsync != FsyncOff {
+		err = f.Sync()
+	}
+	if e := f.Close(); err == nil {
+		err = e
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, name+".fimi"))
+	}
+	if err != nil {
+		_ = os.Remove(tmp)
 		return "", fmt.Errorf("persist: installing dataset blob %q: %w", name, err)
 	}
-	syncDir(filepath.Join(l.dir, datasetDirName))
-	return rel, nil
+	syncDir(dir)
+	return datasetDirName + "/" + name + ".fimi", nil
+}
+
+// Abort removes an uncommitted blob. After Commit it does nothing.
+func (b *Blob) Abort() {
+	if b.f != nil {
+		b.f.Close()
+		_ = os.Remove(b.f.Name())
+		b.f = nil
+	}
+}
+
+// SaveDatasetBlob persists db as a FIMI blob under the state directory and
+// returns the DatasetRecord.File value referencing it, streaming WriteFIMI
+// into a Blob and committing it under name.
+func (l *Log) SaveDatasetBlob(name string, db *dataset.Transactions) (string, error) {
+	b := l.NewBlob()
+	defer b.Abort()
+	bw := bufio.NewWriterSize(b, 64<<10)
+	if err := dataset.WriteFIMI(bw, db); err != nil {
+		return "", fmt.Errorf("persist: encoding dataset blob %q: %w", name, err)
+	}
+	_ = bw.Flush() // a Blob's writes never fail
+	return b.Commit(name)
+}
+
+// removeBlobTemps deletes the blob temp files in dir, the state directory's
+// datasets/ folder.
+func removeBlobTemps(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("persist: listing dataset blobs: %w", err)
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".tmp") {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return fmt.Errorf("persist: removing dataset blob temp: %w", err)
+			}
+		}
+	}
+	return nil
 }
 
 // writeFileSync writes data to path, optionally fsyncing before close.

@@ -310,6 +310,89 @@ func TestDatasetBlobRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBlobCommitAndAbort: a committed blob holds exactly the bytes written
+// to it under datasets/<name>.fimi, an aborted one leaves no file, and
+// neither leaves a temp behind.
+func TestBlobCommitAndAbort(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{Fsync: FsyncAlways, CompactEvery: -1})
+	defer l.Close()
+	text := "0 1 2\r\n\n1 2\n2\n"
+	b := l.NewBlob()
+	for _, chunk := range []string{text[:4], text[4:]} {
+		if n, err := b.Write([]byte(chunk)); n != len(chunk) || err != nil {
+			t.Fatalf("Write = %d, %v", n, err)
+		}
+	}
+	rel, err := b.Commit("sales")
+	if err != nil || rel != "datasets/sales.fimi" {
+		t.Fatalf("Commit = %q, %v", rel, err)
+	}
+	b.Abort() // a no-op after Commit
+	if got, err := os.ReadFile(filepath.Join(dir, "datasets", "sales.fimi")); err != nil || string(got) != text {
+		t.Fatalf("committed blob = %q, %v; want %q", got, err, text)
+	}
+	if _, err := b.Commit("again"); err == nil {
+		t.Error("second Commit succeeded")
+	}
+
+	doomed := l.NewBlob()
+	doomed.Write([]byte("3 4\n"))
+	doomed.Abort()
+	entries, err := os.ReadDir(filepath.Join(dir, "datasets"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "sales.fimi" {
+		t.Errorf("datasets/ holds %v, want only sales.fimi", entries)
+	}
+}
+
+// TestOpenRemovesBlobTemps: a crash between writing a blob's temp and
+// committing it leaves the temp behind. Open removes every datasets/*.tmp,
+// which no WAL or snapshot record references, and leaves the blobs that
+// records do reference untouched.
+func TestOpenRemovesBlobTemps(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, testOptions())
+	rel, err := l.SaveDatasetBlob("sales", dataset.New("sales", [][]int32{{0, 1}, {1}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendDataset(DatasetRecord{Name: "sales", Source: "upload:fimi", File: rel}); err != nil {
+		t.Fatal(err)
+	}
+	l.NewBlob().Write([]byte("5 6\n")) // never committed: the crash
+	if err := l.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	blobs := filepath.Join(dir, "datasets")
+	if err := os.WriteFile(filepath.Join(blobs, "old.fimi.tmp"), []byte("7\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(blobs, "sales.fimi"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	l2 := mustOpen(t, dir, testOptions())
+	defer l2.Close()
+	entries, err := os.ReadDir(blobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "sales.fimi" {
+		t.Errorf("datasets/ holds %v after Open, want only sales.fimi", entries)
+	}
+	st := l2.State()
+	if len(st.Datasets) != 1 {
+		t.Fatalf("datasets = %+v", st.Datasets)
+	}
+	if got, err := os.ReadFile(l2.BlobPath(st.Datasets[0])); err != nil || string(got) != string(want) {
+		t.Errorf("referenced blob = %q, %v; want %q", got, err, want)
+	}
+}
+
 func TestFsyncAlwaysDurableWithoutFlush(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{Fsync: FsyncAlways, CompactEvery: -1})

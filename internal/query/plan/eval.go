@@ -77,6 +77,12 @@ type Stats struct {
 	// RecordsSkipped counts the records of the blocks filter scans skipped:
 	// by a zone sketch's length range, or by an item's empty posting list.
 	RecordsSkipped int
+	// RecordsVisited counts the records filter scans read: every record of
+	// a block scanned whole (or tallied, or whose posting lists a scan
+	// built), and only the records on the walked list of a block read along
+	// a posting list. It is at most RecordsScanned, except where a scan
+	// extending a cached vector mid-block builds that block's lists.
+	RecordsVisited int
 	// BlocksSkipped counts whole blocks skipped.
 	BlocksSkipped int
 	// ParallelWorkers is the widest worker fan-out any filter scan of the
@@ -120,6 +126,7 @@ type Explain struct {
 	RecordsIndexed int    `json:"records_indexed"`
 	RecordsScanned int    `json:"records_scanned"`
 	RecordsSkipped int    `json:"records_skipped"`
+	RecordsVisited int    `json:"records_visited"`
 	BlocksSkipped  int    `json:"blocks_skipped"`
 	// ParallelWorkers is the widest block-parallel fan-out any filter scan
 	// of the plan ran with (1 = serial, 0 = nothing scanned).
@@ -199,6 +206,7 @@ func Resolve(cat Catalog, e *store.Entry, spec *engine.QuerySpec, opts Options) 
 		RecordsIndexed:  ctx.stats.RecordsIndexed,
 		RecordsScanned:  ctx.stats.RecordsScanned,
 		RecordsSkipped:  ctx.stats.RecordsSkipped,
+		RecordsVisited:  ctx.stats.RecordsVisited,
 		BlocksSkipped:   ctx.stats.BlocksSkipped,
 		ParallelWorkers: ctx.stats.ParallelWorkers,
 		CompileMicros:   micros(compile),
@@ -574,6 +582,7 @@ func (c *evalCtx) filterScan(e *store.Entry, n *node) []float64 {
 					skipped += dataset.BlockRecords
 				} else {
 					scanned += dataset.BlockRecords
+					c.stats.RecordsVisited += dataset.BlockRecords
 				}
 			}
 		}
@@ -622,6 +631,7 @@ func (c *evalCtx) filterScan(e *store.Entry, n *node) []float64 {
 				if len(l) == 0 || int(l[len(l)-1]) < run.from {
 					c.stats.BlocksSkipped++
 					scanned -= run.records()
+					visits -= run.visits()
 					skipped += run.records()
 					break
 				}
@@ -631,6 +641,7 @@ func (c *evalCtx) filterScan(e *store.Entry, n *node) []float64 {
 	}
 	c.stats.RecordsSkipped += skipped
 	c.stats.RecordsScanned += scanned
+	c.stats.RecordsVisited += visits
 	e.NoteRecordsSkipped(uint64(skipped))
 	return out
 }

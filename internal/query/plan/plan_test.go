@@ -549,6 +549,44 @@ func TestLengthTableServesFullBlocks(t *testing.T) {
 	}
 }
 
+// TestRecordsVisitedAlongPostings: a single-item filter that walks its
+// posting lists visits fewer records than its blocks hold, while the scan
+// that first builds the lists, and a scan under NoSkip, visit every record
+// they scan. Reused, indexed, scanned and skipped still add up to the
+// record count, and the explain payload carries the visited count.
+func TestRecordsVisitedAlongPostings(t *testing.T) {
+	w := newTestWorld(t)
+	e := w.entry(t, "zipf")
+	total := w.raw["zipf"].NumRecords()
+	spec := filterSpec(0, 0, 4)
+	for _, c := range []struct {
+		name   string
+		opts   Options
+		walked bool
+	}{
+		{"build", Options{NoCache: true}, false},
+		{"walk", Options{NoCache: true}, true},
+		{"noskip", Options{NoCache: true, NoSkip: true}, false},
+	} {
+		res, err := Resolve(w.store, e, spec, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if st.RecordsReused+st.RecordsIndexed+st.RecordsScanned+st.RecordsSkipped != total {
+			t.Errorf("%s: reused %d + indexed %d + scanned %d + skipped %d != %d records",
+				c.name, st.RecordsReused, st.RecordsIndexed, st.RecordsScanned, st.RecordsSkipped, total)
+		}
+		if res.Explain.RecordsVisited != st.RecordsVisited {
+			t.Errorf("%s: explain records_visited %d, stats %d", c.name, res.Explain.RecordsVisited, st.RecordsVisited)
+		}
+		if walked := st.RecordsVisited < st.RecordsScanned; walked != c.walked || st.RecordsVisited > st.RecordsScanned || st.RecordsVisited == 0 {
+			t.Errorf("%s: visited %d of %d scanned records; want fewer: %v", c.name, st.RecordsVisited, st.RecordsScanned, c.walked)
+		}
+	}
+	checkDifferential(t, w, "zipf", spec)
+}
+
 func TestAdversarialUnselective(t *testing.T) {
 	w := newTestWorld(t)
 	e := w.entry(t, "uniform")

@@ -12,6 +12,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -214,7 +215,7 @@ func (s *Server) registerDatasetTelemetry(name string) *datasetCounters {
 // every startup of a persistent server should treat store.ErrDatasetExists
 // as success: after a restart the journal has already restored the dataset.
 func (s *Server) RegisterDataset(name, source string, db *dataset.Transactions) (*store.Entry, error) {
-	return s.registerDataset(name, source, db, nil)
+	return s.registerDataset(name, source, db, nil, nil)
 }
 
 // errDatasetPersist marks a registration that was rolled back because its
@@ -222,16 +223,17 @@ func (s *Server) RegisterDataset(name, source string, db *dataset.Transactions) 
 var errDatasetPersist = errors.New("server: dataset registration not persisted")
 
 // registerDataset is RegisterDataset with an optional synthetic-generator
-// spec, which persists as a regeneration record instead of a blob. On a
-// journalling failure the registration is rolled back, so a name is only
-// ever taken by a dataset that will survive a restart — the client can
-// retry once the persistence fault clears.
-func (s *Server) registerDataset(name, source string, db *dataset.Transactions, syn *persist.SyntheticRecord) (*store.Entry, error) {
+// spec, which persists as a regeneration record instead of a blob, and an
+// optional blob already holding the dataset's FIMI text, which persists in
+// place of a WriteFIMI of db. On a journalling failure the registration is
+// rolled back, so a name is only ever taken by a dataset that will survive a
+// restart — the client can retry once the persistence fault clears.
+func (s *Server) registerDataset(name, source string, db *dataset.Transactions, syn *persist.SyntheticRecord, blob *persist.Blob) (*store.Entry, error) {
 	e, err := s.datasets.Register(name, source, db)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.journalDataset(e, syn); err != nil {
+	if err := s.journalDataset(e, syn, blob); err != nil {
 		s.datasets.Remove(name)
 		s.datasetHot.Delete(name)
 		s.telemetry.Gauge("freegap_datasets").Set(int64(s.datasets.Len()))
@@ -249,42 +251,48 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) serveDatasetUpload(w *traceWriter, r *http.Request) string {
-	var req DatasetUploadRequest
-	if code, ok := s.decode(w, r, &req); !ok {
-		return code
-	}
-	w.mark(stageDecode)
-	w.dataset = req.Name
-	// Fail closed before parsing: a registration on a dead journal would
+	// Fail closed before reading: a registration on a dead journal would
 	// only be rolled back after the (possibly expensive) parse anyway.
 	if code, ok := s.persistReady(w); !ok {
 		return code
 	}
+	var (
+		req  DatasetUploadRequest
+		db   *dataset.Transactions
+		blob *persist.Blob
+	)
+	defer func() {
+		if blob != nil {
+			blob.Abort() // a no-op once committed
+		}
+	}()
+	code, ok := s.decodeFIMIBody(w, r, &req, func(fimi io.Reader) (err error) {
+		if s.persist != nil {
+			// The blob is the uploaded text itself, written as it is parsed.
+			blob = s.persist.NewBlob()
+			fimi = io.TeeReader(fimi, blob)
+		}
+		db, err = dataset.ReadFIMILimited(fimi, "upload", s.fimiLimits())
+		return err
+	})
+	if !ok {
+		return code
+	}
+	w.mark(stageDecode)
+	w.dataset = req.Name
 	if err := store.ValidName(req.Name); err != nil {
 		return badRequest(w, err)
 	}
 
 	var (
-		db     *dataset.Transactions
 		source string
 		syn    *persist.SyntheticRecord
 	)
 	switch {
-	case req.FIMI != "" && req.Synthetic != nil:
+	case db != nil && req.Synthetic != nil:
 		return badRequest(w, errors.New("exactly one of fimi and synthetic must be set"))
-	case req.FIMI != "":
-		// The body-size cap already bounds the upload; the parse limits —
-		// the same caps the catalog's Register enforces — keep a small body
-		// from declaring a huge item universe.
-		lim := s.datasets.Limits()
-		parsed, err := dataset.ReadFIMILimited(strings.NewReader(req.FIMI), req.Name, dataset.FIMILimits{
-			MaxRecords: lim.MaxRecords,
-			MaxItemID:  int32(lim.MaxItems) - 1,
-		})
-		if err != nil {
-			return badRequest(w, err)
-		}
-		db, source = parsed, "upload:fimi"
+	case db != nil:
+		source = "upload:fimi"
 	case req.Synthetic != nil:
 		generated, err := store.GenerateSynthetic(req.Synthetic.Kind, req.Synthetic.Scale, req.Synthetic.Seed)
 		if err != nil {
@@ -295,8 +303,10 @@ func (s *Server) serveDatasetUpload(w *traceWriter, r *http.Request) string {
 	default:
 		return badRequest(w, errors.New("exactly one of fimi and synthetic must be set"))
 	}
+	w.mark(stageValidate)
 
-	entry, err := s.registerDataset(req.Name, source, db, syn)
+	entry, err := s.registerDataset(req.Name, source, db, syn, blob)
+	w.mark(stageExecute)
 	switch {
 	case errors.Is(err, store.ErrDatasetExists):
 		writeError(w, http.StatusConflict, ErrorBody{Code: CodeDatasetExists, Message: err.Error()})

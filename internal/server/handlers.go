@@ -361,20 +361,27 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) (string
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, ErrorBody{
-				Code:    CodeRequestTooLarge,
-				Message: fmt.Sprintf("request body exceeds the server limit of %d bytes", tooLarge.Limit),
-			})
-			return CodeRequestTooLarge, false
-		}
-		return badRequest(w, fmt.Errorf("decoding JSON body: %v", err)), false
+		return writeDecodeError(w, fmt.Errorf("decoding JSON body: %w", err)), false
 	}
 	if dec.More() {
 		return badRequest(w, errors.New("request body holds more than one JSON value")), false
 	}
 	return "", true
+}
+
+// writeDecodeError writes the response for a body that failed to decode —
+// 413 when it ran past the body cap, 400 otherwise — and returns its
+// outcome code.
+func writeDecodeError(w http.ResponseWriter, err error) string {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, ErrorBody{
+			Code:    CodeRequestTooLarge,
+			Message: fmt.Sprintf("request body exceeds the server limit of %d bytes", tooLarge.Limit),
+		})
+		return CodeRequestTooLarge
+	}
+	return badRequest(w, err)
 }
 
 // charge reserves eps from the tenant's budget before the mechanism runs.

@@ -378,9 +378,13 @@ func TestDatasetRegistrationRolledBackOnJournalFailure(t *testing.T) {
 	if resp, data := postJSON(t, ts.URL+"/v1/datasets", upload); resp.StatusCode == http.StatusConflict {
 		t.Errorf("retry saw dataset_exists after rollback: %s", data)
 	}
-	// The blob written ahead of the failed WAL record was reclaimed too.
+	// The blob written ahead of the failed WAL record was reclaimed too,
+	// and so was the temp the upload streamed it into: datasets/ is empty.
 	if _, err := os.Stat(filepath.Join(dir, "datasets", "doomed.fimi")); !os.IsNotExist(err) {
 		t.Errorf("orphaned blob left behind after rollback (err %v)", err)
+	}
+	if files := datasetFiles(t, dir); len(files) != 0 {
+		t.Errorf("datasets/ holds %v after rollback, want nothing", files)
 	}
 }
 

@@ -41,13 +41,9 @@ func (s *Server) restoreDataset(rec persist.DatasetRecord) error {
 // blob-backed records re-read their FIMI file under the catalog limits,
 // synthetic records regenerate deterministically from kind/scale/seed.
 func (s *Server) materializeDataset(rec persist.DatasetRecord) (*dataset.Transactions, error) {
-	lim := s.datasets.Limits()
 	switch {
 	case rec.File != "":
-		db, err := dataset.ReadFIMIFileLimited(s.persist.BlobPath(rec), dataset.FIMILimits{
-			MaxRecords: lim.MaxRecords,
-			MaxItemID:  int32(lim.MaxItems) - 1,
-		})
+		db, err := dataset.ReadFIMIFileLimited(s.persist.BlobPath(rec), s.fimiLimits())
 		if err != nil {
 			return nil, fmt.Errorf("server: restoring dataset %q: %w", rec.Name, err)
 		}
@@ -65,21 +61,37 @@ func (s *Server) materializeDataset(rec persist.DatasetRecord) (*dataset.Transac
 	}
 }
 
+// fimiLimits are the parse limits of the FIMI text the server reads: the
+// catalog's own caps, so a small body cannot declare a huge item universe.
+func (s *Server) fimiLimits() dataset.FIMILimits {
+	lim := s.datasets.Limits()
+	return dataset.FIMILimits{MaxRecords: lim.MaxRecords, MaxItemID: int32(lim.MaxItems) - 1}
+}
+
 // journalDataset makes one freshly registered dataset durable. Synthetic
 // datasets (syn != nil) are journalled as their generator spec — regeneration
 // with the same kind/scale/seed is deterministic and, unlike a FIMI blob,
 // preserves the exact item universe (trailing zero-count items have no
 // transactions to serialise). Everything else becomes a FIMI blob under the
-// state directory, written and synced before the WAL record that references
-// it. A nil persist log makes it a no-op.
-func (s *Server) journalDataset(entry *store.Entry, syn *persist.SyntheticRecord) error {
+// state directory, committed and synced before the WAL record that
+// references it: blob, the uploaded text, when the upload teed it, or else
+// a WriteFIMI of the dataset. A nil persist log makes it a no-op.
+func (s *Server) journalDataset(entry *store.Entry, syn *persist.SyntheticRecord, blob *persist.Blob) error {
 	if s.persist == nil {
 		return nil
 	}
 	info := entry.Info()
 	rec := persist.DatasetRecord{Name: info.Name, Source: info.Source, Items: info.Items, Synthetic: syn}
 	if syn == nil {
-		rel, err := s.persist.SaveDatasetBlob(info.Name, entry.Dataset())
+		var (
+			rel string
+			err error
+		)
+		if blob != nil {
+			rel, err = blob.Commit(info.Name)
+		} else {
+			rel, err = s.persist.SaveDatasetBlob(info.Name, entry.Dataset())
+		}
 		if err != nil {
 			return fmt.Errorf("server: persisting dataset %q: %w", info.Name, err)
 		}

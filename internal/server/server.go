@@ -497,7 +497,7 @@ func New(cfg Config) (*Server, error) {
 		if p.Synthetic != "" {
 			syn = &persist.SyntheticRecord{Kind: p.Synthetic, Scale: p.Scale, Seed: p.Seed}
 		}
-		if err := s.journalDataset(entry, syn); err != nil {
+		if err := s.journalDataset(entry, syn, nil); err != nil {
 			s.pool.close()
 			return fail(err)
 		}

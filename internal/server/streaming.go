@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -353,28 +354,24 @@ func (s *Server) handleDatasetAppend(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveDatasetAppend(w *traceWriter, r *http.Request) string {
 	name := r.PathValue("name")
 	w.dataset = name
-	var req DatasetAppendRequest
-	if code, ok := s.decode(w, r, &req); !ok {
-		return code
-	}
-	w.mark(stageDecode)
 	if code, ok := s.persistReady(w); !ok {
 		return code
 	}
+	var parsed *dataset.Transactions
+	code, ok := s.decodeFIMIBody(w, r, &DatasetAppendRequest{}, func(fimi io.Reader) (err error) {
+		parsed, err = dataset.ReadFIMILimited(fimi, name, s.fimiLimits())
+		return err
+	})
+	if !ok {
+		return code
+	}
+	w.mark(stageDecode)
 	if _, err := s.datasets.Get(name); err != nil {
 		writeError(w, http.StatusNotFound, ErrorBody{Code: CodeUnknownDataset, Message: err.Error()})
 		return CodeUnknownDataset
 	}
-	if req.FIMI == "" {
+	if parsed == nil {
 		return badRequest(w, errors.New("append body needs fimi transactions"))
-	}
-	lim := s.datasets.Limits()
-	parsed, err := dataset.ReadFIMILimited(strings.NewReader(req.FIMI), name, dataset.FIMILimits{
-		MaxRecords: lim.MaxRecords,
-		MaxItemID:  int32(lim.MaxItems) - 1,
-	})
-	if err != nil {
-		return badRequest(w, err)
 	}
 	if parsed.NumRecords() == 0 {
 		return badRequest(w, errors.New("append body holds no transactions"))
